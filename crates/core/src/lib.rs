@@ -66,6 +66,7 @@ pub mod json;
 pub mod parallel;
 pub mod policy;
 pub mod races;
+mod rules;
 pub mod service;
 pub mod shard;
 pub mod solver;

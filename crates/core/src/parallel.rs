@@ -1,9 +1,10 @@
 //! The sharded parallel propagation engine.
 //!
 //! This module runs the same Andersen-style semi-naive solver as
-//! [`crate::solver`], but partitioned into `N` shards (one worker thread
-//! each, see [`crate::shard::ShardMap`]) that propagate in lock-step
-//! *epochs*. The design goal is not "fast but approximately right" — it is
+//! [`crate::solver`] — the very same rules, from the crate-private `rules`
+//! module both engines share — but partitioned into `N` shards (one worker
+//! thread each, see [`crate::shard::ShardMap`]) that propagate in
+//! lock-step *epochs*. Only the schedule lives here. The design goal is not "fast but approximately right" — it is
 //! **byte-for-byte equivalence** with the sequential solver at every thread
 //! count, so that budgets, the supervisor ladder, differential tests and
 //! golden fixtures never need to know which engine produced a result.
@@ -44,7 +45,7 @@
 //! equivalence guarantee:
 //!
 //! - if the merged counters (per-shard counters folded in shard-index
-//!   order, plus the coordinator's call-graph counter) stay within the
+//!   order, plus the call-graph edge count) stay within the
 //!   [`crate::solver::Budget`] through the final barrier, the sequential
 //!   solver would also have completed, and both engines report identical
 //!   `SolverStats::canonical()` and identical projected relations;
@@ -70,24 +71,15 @@
 //! solver, which is why `Parallelism::sequential()` is *definitionally*
 //! today's solver.
 
-use std::collections::VecDeque;
 use std::thread;
-use std::time::Instant;
 
-use rudoop_ir::{
-    AllocId, ClassHierarchy, ClassId, FieldId, GlobalId, IdxVec, Instruction, InvokeId, InvokeKind,
-    MethodId, Program, VarId,
-};
+use rudoop_ir::{ClassHierarchy, FieldId, InvokeId, Program};
 
-use crate::bitset::IdBitSet;
-use crate::context::{CObj, CtxId, CtxTables, HCtxId};
-use crate::hash::{FxHashMap, FxHashSet};
+use crate::context::{CObj, CtxId};
 use crate::policy::ContextPolicy;
+use crate::rules::{cast_admits, Core, Graph, NodeKind, NodeTable};
 use crate::shard::ShardMap;
-use crate::solver::{
-    model_bytes, CancelToken, CsDump, ExhaustionCause, Outcome, PointsToResult, SolverConfig,
-    SolverError, SolverStats,
-};
+use crate::solver::{CancelToken, ExhaustionCause, PointsToResult, SolverConfig, SolverError};
 use crate::telemetry::{shard_lane, Telemetry};
 
 /// Thread-count configuration for one solver run.
@@ -153,14 +145,6 @@ impl PNode {
     }
 }
 
-/// What a node denotes; mirrors the sequential solver's node kinds.
-#[derive(Debug, Clone, Copy)]
-enum PKind {
-    Var(VarId, CtxId),
-    Field(CObj, FieldId),
-    Global(GlobalId),
-}
-
 /// A derivation discovered by a worker that needs coordinator-owned state
 /// (field-node interning, context merging, call-graph growth). Replayed at
 /// the barrier in (shard index, push order) order.
@@ -186,26 +170,15 @@ enum Pending {
 /// coordinator (between epochs) touches it — never both at once.
 #[derive(Debug, Default)]
 struct ShardState {
-    kinds: Vec<PKind>,
-    pts: Vec<FxHashSet<u64>>,
-    delta: Vec<Vec<u64>>,
-    succ: Vec<Vec<PNode>>,
-    filter_succ: Vec<Vec<(ClassId, PNode)>>,
-    loads: Vec<Vec<(FieldId, PNode)>>,
-    stores: Vec<Vec<(FieldId, PNode)>>,
-    calls: Vec<Vec<InvokeId>>,
-    node_ctx: Vec<CtxId>,
-    in_worklist: Vec<bool>,
-    worklist: VecDeque<u32>,
+    /// The shard's nodes; their derivation counter is this shard's share
+    /// of the budget currency and the imbalance metric.
+    nodes: NodeTable<PNode>,
     /// Messages to apply next epoch, pre-ordered by the coordinator.
     inbox: Vec<(PNode, u64)>,
     /// Messages for other shards, one queue per destination.
     outbox: Vec<Vec<(PNode, u64)>>,
     /// Derivations needing the coordinator, in discovery order.
     pending: Vec<Pending>,
-    /// Lifetime tuple insertions into this shard (the budget currency and
-    /// the imbalance metric).
-    derivations: u64,
     /// Worklist pops during the last epoch (deterministic engine metric).
     epoch_drains: u64,
     /// Inbox messages applied at the start of the last epoch.
@@ -218,17 +191,50 @@ struct ShardState {
 }
 
 impl ShardState {
-    /// Inserts `obj` into the local node `idx`'s points-to set; on a new
-    /// tuple, bumps the shard counter and schedules semi-naive follow-up.
-    fn add_local(&mut self, idx: usize, obj: u64) {
-        if self.pts[idx].insert(obj) {
-            self.derivations += 1;
-            self.delta[idx].push(obj);
-            if !self.in_worklist[idx] {
-                self.in_worklist[idx] = true;
-                self.worklist.push_back(idx as u32);
-            }
+    /// Delivers `obj` to `node`: inserted now when this shard owns it,
+    /// queued for the owner's next epoch otherwise.
+    fn deliver(&mut self, me: usize, node: PNode, obj: u64) {
+        if node.shard() == me {
+            self.nodes.add_local(node.idx(), obj);
+        } else {
+            self.outbox[node.shard()].push((node, obj));
         }
+    }
+}
+
+/// The sharded graph. Rules run only on the coordinator's thread (at the
+/// barrier), so a rule's tuple insertion is routed as a message and the
+/// hash insertion happens on the owning worker next epoch.
+struct Shards {
+    map: ShardMap,
+    shards: Vec<ShardState>,
+    /// Coordinator-originated messages (edge flushes, alloc seeds), routed
+    /// after all shard outboxes so application order stays deterministic.
+    coord_outbox: Vec<Vec<(PNode, u64)>>,
+}
+
+impl Graph for Shards {
+    type Node = PNode;
+
+    fn push_node(&mut self, program: &Program, kind: NodeKind, ctx: CtxId) -> PNode {
+        let shard = match kind {
+            NodeKind::Var(var, _) => self.map.of_var(program, var),
+            NodeKind::Field(obj, _) => self.map.of_alloc(program, obj.heap()),
+            NodeKind::Global(global) => self.map.of_global(global),
+        };
+        PNode::new(shard, self.shards[shard as usize].nodes.push(kind, ctx))
+    }
+
+    fn slot(&mut self, node: PNode) -> (&mut NodeTable<PNode>, usize) {
+        (&mut self.shards[node.shard()].nodes, node.idx())
+    }
+
+    fn add_obj(&mut self, node: PNode, obj: u64) {
+        self.coord_outbox[node.shard()].push((node, obj));
+    }
+
+    fn tables(&self) -> impl Iterator<Item = &NodeTable<PNode>> {
+        self.shards.iter().map(|s| &s.nodes)
     }
 }
 
@@ -259,16 +265,16 @@ fn run_epoch(
         shard.busy_start_us = t.now_us();
     }
     shard.epoch_drains = 0;
-    let start_derivations = shard.derivations;
+    let start_derivations = shard.nodes.derivations;
     let inbox = std::mem::take(&mut shard.inbox);
     shard.epoch_inbox = inbox.len() as u64;
     for (node, obj) in inbox {
         debug_assert_eq!(node.shard(), me);
-        shard.add_local(node.idx(), obj);
+        shard.nodes.add_local(node.idx(), obj);
     }
     let mut steps = 0u64;
     loop {
-        if shard.derivations - start_derivations >= chunk {
+        if shard.nodes.derivations - start_derivations >= chunk {
             break;
         }
         steps += 1;
@@ -279,52 +285,36 @@ fn run_epoch(
                 }
             }
         }
-        let Some(i) = shard.worklist.pop_front() else {
+        let Some(i) = shard.nodes.pop() else {
             break;
         };
-        let i = i as usize;
-        shard.in_worklist[i] = false;
         shard.epoch_drains += 1;
-        let d = std::mem::take(&mut shard.delta[i]);
+        let d = std::mem::take(&mut shard.nodes.delta[i]);
         if d.is_empty() {
             continue;
         }
-        let succs = shard.succ[i].clone();
+        let succs = shard.nodes.succ[i].clone();
         for s in succs {
-            if s.shard() == me {
-                for &o in &d {
-                    shard.add_local(s.idx(), o);
-                }
-            } else {
-                for &o in &d {
-                    shard.outbox[s.shard()].push((s, o));
-                }
+            for &o in &d {
+                shard.deliver(me, s, o);
             }
         }
-        if !shard.filter_succ[i].is_empty() {
-            let filtered = shard.filter_succ[i].clone();
+        if !shard.nodes.filter_succ[i].is_empty() {
+            let filtered = shard.nodes.filter_succ[i].clone();
             for (class, s) in filtered {
                 for &o in &d {
-                    let heap_class = program.allocs[CObj(o).heap()].class;
-                    if !hierarchy.is_subtype(heap_class, class) {
-                        continue;
-                    }
-                    if s.shard() == me {
-                        shard.add_local(s.idx(), o);
-                    } else {
-                        shard.outbox[s.shard()].push((s, o));
+                    if cast_admits(program, hierarchy, o, class) {
+                        shard.deliver(me, s, o);
                     }
                 }
             }
         }
-        let loads = shard.loads[i].clone();
-        for (field, to) in loads {
+        for &(field, to) in &shard.nodes.loads[i] {
             for &o in &d {
                 shard.pending.push(Pending::Load { field, to, obj: o });
             }
         }
-        let stores = shard.stores[i].clone();
-        for (field, from) in stores {
+        for &(field, from) in &shard.nodes.stores[i] {
             for &o in &d {
                 shard.pending.push(Pending::Store {
                     from,
@@ -333,17 +323,14 @@ fn run_epoch(
                 });
             }
         }
-        if !shard.calls[i].is_empty() {
-            let caller = shard.node_ctx[i];
-            let calls = shard.calls[i].clone();
-            for invoke in calls {
-                for &o in &d {
-                    shard.pending.push(Pending::Call {
-                        invoke,
-                        caller,
-                        obj: o,
-                    });
-                }
+        let caller = shard.nodes.node_ctx[i];
+        for &invoke in &shard.nodes.calls[i] {
+            for &o in &d {
+                shard.pending.push(Pending::Call {
+                    invoke,
+                    caller,
+                    obj: o,
+                });
             }
         }
     }
@@ -365,32 +352,10 @@ enum Verdict {
     Replay,
 }
 
+/// The sharded engine: the shared rules over the sharded graph, plus the
+/// epoch bookkeeping.
 struct Engine<'p> {
-    program: &'p Program,
-    hierarchy: &'p ClassHierarchy,
-    policy: &'p dyn ContextPolicy,
-    config: SolverConfig,
-    map: ShardMap,
-    shards: Vec<ShardState>,
-    /// Coordinator-originated messages (edge flushes, alloc seeds), routed
-    /// after all shard outboxes so application order stays deterministic.
-    coord_outbox: Vec<Vec<(PNode, u64)>>,
-    tables: CtxTables,
-    var_nodes: FxHashMap<u64, PNode>,
-    field_nodes: FxHashMap<(u64, u32), PNode>,
-    global_nodes: FxHashMap<u32, PNode>,
-    edge_set: FxHashSet<(u64, u64)>,
-    reachable: FxHashSet<u64>,
-    cg_edges: FxHashSet<(u64, u64)>,
-    inst_queue: VecDeque<(MethodId, CtxId)>,
-    /// Call-graph derivations (the coordinator's share of the budget
-    /// currency; shard counters hold the points-to share).
-    cg_derivations: u64,
-    cg_edge_count: u64,
-    node_count: usize,
-    node_cap: usize,
-    start: Instant,
-    exhausted: Option<ExhaustionCause>,
+    core: Core<'p, Shards>,
     /// Index of the next epoch to run (== number of epochs completed).
     epoch_index: u64,
     /// Per-epoch per-shard derivation deltas — the imbalance-over-time
@@ -413,532 +378,96 @@ impl<'p> Engine<'p> {
     ) -> Self {
         let n = config.parallelism.thread_count();
         let map = ShardMap::partition(program, n);
-        let node_cap = config
-            .max_nodes
-            .unwrap_or(u32::MAX as usize)
-            .min(u32::MAX as usize);
-        let mut tables = CtxTables::new();
-        if let Some(limit) = config.max_contexts {
-            tables.set_capacity(limit);
-        }
-        let shards = (0..n)
-            .map(|_| ShardState {
-                outbox: (0..n).map(|_| Vec::new()).collect(),
-                ..ShardState::default()
-            })
-            .collect();
-        let engine = Engine {
-            program,
-            hierarchy,
-            policy,
-            config,
-            map,
-            shards,
-            coord_outbox: (0..n).map(|_| Vec::new()).collect(),
-            tables,
-            var_nodes: FxHashMap::default(),
-            field_nodes: FxHashMap::default(),
-            global_nodes: FxHashMap::default(),
-            edge_set: FxHashSet::default(),
-            reachable: FxHashSet::default(),
-            cg_edges: FxHashSet::default(),
-            inst_queue: VecDeque::new(),
-            cg_derivations: 0,
-            cg_edge_count: 0,
-            node_count: 0,
-            node_cap,
-            start: Instant::now(),
-            exhausted: None,
-            epoch_index: 0,
-            epoch_shard_work: Vec::new(),
-            prev_derivations: vec![0; n],
-        };
-        if let Some(tele) = engine.config.telemetry.as_deref() {
+        if let Some(tele) = config.telemetry.as_deref() {
             let mut args: Vec<(String, String)> = vec![("shards".to_owned(), n.to_string())];
-            for (i, load) in engine.map.static_load().iter().enumerate() {
+            for (i, load) in map.static_load().iter().enumerate() {
                 args.push((format!("static_load.{i}"), load.to_string()));
             }
             tele.instant("shard-partition", args);
         }
-        engine
-    }
-
-    fn new_node(&mut self, shard: u32, kind: PKind, ctx: CtxId) -> Result<PNode, SolverError> {
-        if self.node_count >= self.node_cap {
-            return Err(SolverError::NodeCapacity {
-                limit: self.node_cap,
-            });
-        }
-        let s = &mut self.shards[shard as usize];
-        let idx = s.kinds.len() as u32;
-        s.kinds.push(kind);
-        s.pts.push(FxHashSet::default());
-        s.delta.push(Vec::new());
-        s.succ.push(Vec::new());
-        s.filter_succ.push(Vec::new());
-        s.loads.push(Vec::new());
-        s.stores.push(Vec::new());
-        s.calls.push(Vec::new());
-        s.node_ctx.push(ctx);
-        s.in_worklist.push(false);
-        self.node_count += 1;
-        Ok(PNode::new(shard, idx))
-    }
-
-    fn var_node(&mut self, var: VarId, ctx: CtxId) -> Result<PNode, SolverError> {
-        let key = (u64::from(var.0) << 32) | u64::from(ctx.0);
-        if let Some(&n) = self.var_nodes.get(&key) {
-            return Ok(n);
-        }
-        let shard = self.map.of_var(self.program, var);
-        let n = self.new_node(shard, PKind::Var(var, ctx), ctx)?;
-        self.var_nodes.insert(key, n);
-        Ok(n)
-    }
-
-    fn field_node(&mut self, obj: CObj, field: FieldId) -> Result<PNode, SolverError> {
-        let key = (obj.0, field.0);
-        if let Some(&n) = self.field_nodes.get(&key) {
-            return Ok(n);
-        }
-        let shard = self.map.of_alloc(self.program, obj.heap());
-        let n = self.new_node(shard, PKind::Field(obj, field), CtxId::EMPTY)?;
-        self.field_nodes.insert(key, n);
-        Ok(n)
-    }
-
-    fn global_node(&mut self, global: GlobalId) -> Result<PNode, SolverError> {
-        if let Some(&n) = self.global_nodes.get(&global.0) {
-            return Ok(n);
-        }
-        let shard = self.map.of_global(global);
-        let n = self.new_node(shard, PKind::Global(global), CtxId::EMPTY)?;
-        self.global_nodes.insert(global.0, n);
-        Ok(n)
-    }
-
-    /// Coordinator-side tuple derivation: routed as a message so the hash
-    /// insertion happens on the owning worker next epoch.
-    fn send_obj(&mut self, node: PNode, obj: u64) {
-        self.coord_outbox[node.shard()].push((node, obj));
-    }
-
-    fn add_edge(&mut self, from: PNode, to: PNode) {
-        if from == to || !self.edge_set.insert((from.0, to.0)) {
-            return;
-        }
-        self.shards[from.shard()].succ[from.idx()].push(to);
-        // Flush: objects already at `from` must traverse the new edge.
-        // Objects still in flight to `from` (inbox or outbox messages) are
-        // not lost — they enter `from`'s delta when applied and the drain
-        // walks the successor list, which now includes this edge.
-        for &o in &self.shards[from.shard()].pts[from.idx()] {
-            self.coord_outbox[to.shard()].push((to, o));
-        }
-    }
-
-    fn add_filtered_edge(&mut self, from: PNode, to: PNode, class: ClassId) {
-        self.shards[from.shard()].filter_succ[from.idx()].push((class, to));
-        for &o in &self.shards[from.shard()].pts[from.idx()] {
-            let heap_class = self.program.allocs[CObj(o).heap()].class;
-            if self.hierarchy.is_subtype(heap_class, class) {
-                self.coord_outbox[to.shard()].push((to, o));
-            }
-        }
-    }
-
-    fn ensure_reachable(&mut self, method: MethodId, ctx: CtxId) {
-        let key = (u64::from(method.0) << 32) | u64::from(ctx.0);
-        if self.reachable.insert(key) {
-            self.inst_queue.push_back((method, ctx));
-        }
-    }
-
-    fn add_call_edge(
-        &mut self,
-        invoke: InvokeId,
-        caller: CtxId,
-        target: MethodId,
-        callee: CtxId,
-    ) -> Result<(), SolverError> {
-        let key = (
-            (u64::from(invoke.0) << 32) | u64::from(caller.0),
-            (u64::from(target.0) << 32) | u64::from(callee.0),
-        );
-        if !self.cg_edges.insert(key) {
-            return Ok(());
-        }
-        self.cg_edge_count += 1;
-        self.cg_derivations += 1;
-        self.ensure_reachable(target, callee);
-        let inv = &self.program.invokes[invoke];
-        let callee_m = &self.program.methods[target];
-        let n_args = inv.args.len().min(callee_m.params.len());
-        // Cut-shortcut rewiring, mirroring the sequential solver exactly.
-        // `add_call_edge` only runs at the barrier (on the coordinator's
-        // thread), so registering caller-side loads/stores on shard state
-        // is as safe as the `instantiate` path doing the same.
-        let cuts = self.config.cuts.clone();
-        let cuts = cuts.as_deref();
-        for i in 0..n_args {
-            let arg = self.program.invokes[invoke].args[i];
-            match cuts.and_then(|c| c.param_cut(target, i)) {
-                // Identity cut: actual flows straight to the call result.
-                Some(crate::cutshortcut::ParamCut::Identity) => {
-                    if let Some(result) = self.program.invokes[invoke].result {
-                        let from = self.var_node(arg, caller)?;
-                        let to = self.var_node(result, caller)?;
-                        self.add_edge(from, to);
-                    }
-                }
-                // Setter cut: store the actual into this site's receiver
-                // objects, registered like a `Store` instruction.
-                Some(crate::cutshortcut::ParamCut::Setter(field)) => {
-                    if let Some(base) = self.invoke_base(invoke) {
-                        let b = self.var_node(base, caller)?;
-                        let f = self.var_node(arg, caller)?;
-                        self.shards[b.shard()].stores[b.idx()].push((field, f));
-                        let existing: Vec<u64> = self.shards[b.shard()].pts[b.idx()]
-                            .iter()
-                            .copied()
-                            .collect();
-                        for o in existing {
-                            let fnode = self.field_node(CObj(o), field)?;
-                            self.add_edge(f, fnode);
-                        }
-                    }
-                }
-                None => {
-                    let from = self.var_node(arg, caller)?;
-                    let to = self.var_node(self.program.methods[target].params[i], callee)?;
-                    self.add_edge(from, to);
-                }
-            }
-        }
-        if let (Some(result), Some(ret)) = (
-            self.program.invokes[invoke].result,
-            self.program.methods[target].ret,
-        ) {
-            // Distilled summary: instantiate the callee's atoms at this
-            // site instead of the conflating `ret → result` edge,
-            // mirroring the sequential solver exactly (the only difference
-            // is `send_obj`, the coordinator-side object insertion).
-            let summaries = self.config.summaries.clone();
-            if let Some(atoms) = summaries.as_deref().and_then(|t| t.distilled_atoms(target)) {
-                self.instantiate_summary(invoke, caller, callee, result, atoms)?;
-                return Ok(());
-            }
-            // Getter cut: load the field off this site's receiver objects
-            // straight into the result, registered like a `Load`.
-            let getter = cuts
-                .and_then(|c| c.getter_return(target))
-                .and_then(|field| self.invoke_base(invoke).map(|base| (field, base)));
-            if let Some((field, base)) = getter {
-                let b = self.var_node(base, caller)?;
-                let to = self.var_node(result, caller)?;
-                self.shards[b.shard()].loads[b.idx()].push((field, to));
-                let existing: Vec<u64> = self.shards[b.shard()].pts[b.idx()]
-                    .iter()
-                    .copied()
-                    .collect();
-                for o in existing {
-                    let fnode = self.field_node(CObj(o), field)?;
-                    self.add_edge(fnode, to);
-                }
-            } else {
-                let from = self.var_node(ret, callee)?;
-                let to = self.var_node(result, caller)?;
-                self.add_edge(from, to);
-            }
-        }
-        Ok(())
-    }
-
-    /// Instantiates a distilled method summary at one call site — the
-    /// sharded mirror of the sequential solver's `instantiate_summary`.
-    /// Runs only at the barrier on the coordinator's thread, like the rest
-    /// of `add_call_edge`.
-    fn instantiate_summary(
-        &mut self,
-        invoke: InvokeId,
-        caller: CtxId,
-        callee: CtxId,
-        result: VarId,
-        atoms: &[crate::summaries::SummaryAtom],
-    ) -> Result<(), SolverError> {
-        use crate::summaries::SummaryAtom;
-        let to = self.var_node(result, caller)?;
-        for &atom in atoms {
-            match atom {
-                SummaryAtom::ParamToRet(m, i) => {
-                    let param = self.program.methods[m].params[i];
-                    let from = self.var_node(param, callee)?;
-                    self.add_edge(from, to);
-                }
-                SummaryAtom::ThisFieldToRet(field) => {
-                    if let Some(base) = self.invoke_base(invoke) {
-                        let b = self.var_node(base, caller)?;
-                        self.shards[b.shard()].loads[b.idx()].push((field, to));
-                        let existing: Vec<u64> = self.shards[b.shard()].pts[b.idx()]
-                            .iter()
-                            .copied()
-                            .collect();
-                        for o in existing {
-                            let fnode = self.field_node(CObj(o), field)?;
-                            self.add_edge(fnode, to);
-                        }
-                    }
-                }
-                SummaryAtom::AllocToRet(h) => {
-                    self.send_obj(to, CObj::new(h, HCtxId::EMPTY).0);
-                }
-                SummaryAtom::GlobalToRet(g) => {
-                    let from = self.global_node(g)?;
-                    self.add_edge(from, to);
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Receiver variable of `invoke`, when it has one (virtual/special
-    /// calls; static calls have no receiver).
-    fn invoke_base(&self, invoke: InvokeId) -> Option<VarId> {
-        match self.program.invokes[invoke].kind {
-            InvokeKind::Virtual { base, .. } | InvokeKind::Special { base, .. } => Some(base),
-            InvokeKind::Static { .. } => None,
-        }
-    }
-
-    fn process_receiver_call(
-        &mut self,
-        invoke: InvokeId,
-        caller: CtxId,
-        obj: CObj,
-    ) -> Result<(), SolverError> {
-        let target = match self.program.invokes[invoke].kind {
-            InvokeKind::Virtual { sig, .. } => {
-                let class = self.program.allocs[obj.heap()].class;
-                match self.hierarchy.lookup(class, sig) {
-                    Some(t) => t,
-                    None => return Ok(()),
-                }
-            }
-            InvokeKind::Special { target, .. } => target,
-            InvokeKind::Static { .. } => {
-                debug_assert!(false, "static calls are not receiver calls");
-                return Ok(());
-            }
+        let shards = Shards {
+            map,
+            shards: (0..n)
+                .map(|_| ShardState {
+                    outbox: (0..n).map(|_| Vec::new()).collect(),
+                    ..ShardState::default()
+                })
+                .collect(),
+            coord_outbox: (0..n).map(|_| Vec::new()).collect(),
         };
-        let callee = self.policy.merge(
-            &mut self.tables,
-            obj.heap(),
-            obj.hctx(),
-            invoke,
-            target,
-            caller,
-        );
-        if let Some(this) = self.program.methods[target].this {
-            let tnode = self.var_node(this, callee)?;
-            self.send_obj(tnode, obj.0);
+        Engine {
+            core: Core::new(program, hierarchy, policy, config, shards),
+            epoch_index: 0,
+            epoch_shard_work: Vec::new(),
+            prev_derivations: vec![0; n],
         }
-        self.add_call_edge(invoke, caller, target, callee)
-    }
-
-    fn instantiate(&mut self, method: MethodId, ctx: CtxId) -> Result<(), SolverError> {
-        let body_len = self.program.methods[method].body.len();
-        for idx in 0..body_len {
-            let instr = self.program.methods[method].body[idx].clone();
-            match instr {
-                Instruction::Alloc { var, alloc } => {
-                    let hctx = self.policy.record(&mut self.tables, alloc, ctx);
-                    let node = self.var_node(var, ctx)?;
-                    self.send_obj(node, CObj::new(alloc, hctx).0);
-                }
-                Instruction::Move { to, from } => {
-                    let f = self.var_node(from, ctx)?;
-                    let t = self.var_node(to, ctx)?;
-                    self.add_edge(f, t);
-                }
-                Instruction::Cast { to, from, class } => {
-                    let f = self.var_node(from, ctx)?;
-                    let t = self.var_node(to, ctx)?;
-                    if self.config.filter_casts {
-                        self.add_filtered_edge(f, t, class);
-                    } else {
-                        self.add_edge(f, t);
-                    }
-                }
-                Instruction::Load { to, base, field } => {
-                    let b = self.var_node(base, ctx)?;
-                    let t = self.var_node(to, ctx)?;
-                    self.shards[b.shard()].loads[b.idx()].push((field, t));
-                    let existing: Vec<u64> = self.shards[b.shard()].pts[b.idx()]
-                        .iter()
-                        .copied()
-                        .collect();
-                    for o in existing {
-                        let fnode = self.field_node(CObj(o), field)?;
-                        self.add_edge(fnode, t);
-                    }
-                }
-                Instruction::Store { base, field, from } => {
-                    let b = self.var_node(base, ctx)?;
-                    let f = self.var_node(from, ctx)?;
-                    self.shards[b.shard()].stores[b.idx()].push((field, f));
-                    let existing: Vec<u64> = self.shards[b.shard()].pts[b.idx()]
-                        .iter()
-                        .copied()
-                        .collect();
-                    for o in existing {
-                        let fnode = self.field_node(CObj(o), field)?;
-                        self.add_edge(f, fnode);
-                    }
-                }
-                Instruction::LoadGlobal { to, global } => {
-                    let g = self.global_node(global)?;
-                    let t = self.var_node(to, ctx)?;
-                    self.add_edge(g, t);
-                }
-                Instruction::StoreGlobal { global, from } => {
-                    let f = self.var_node(from, ctx)?;
-                    let g = self.global_node(global)?;
-                    self.add_edge(f, g);
-                }
-                Instruction::Return { var } => {
-                    if let Some(ret) = self.program.methods[method].ret {
-                        let f = self.var_node(var, ctx)?;
-                        let t = self.var_node(ret, ctx)?;
-                        self.add_edge(f, t);
-                    }
-                }
-                // Spawn is a call for points-to purposes; see the sequential
-                // solver.
-                Instruction::Call { invoke } | Instruction::Spawn { invoke } => {
-                    match self.program.invokes[invoke].kind {
-                        InvokeKind::Virtual { base, .. } | InvokeKind::Special { base, .. } => {
-                            let b = self.var_node(base, ctx)?;
-                            self.shards[b.shard()].calls[b.idx()].push(invoke);
-                            let existing: Vec<u64> = self.shards[b.shard()].pts[b.idx()]
-                                .iter()
-                                .copied()
-                                .collect();
-                            for o in existing {
-                                self.process_receiver_call(invoke, ctx, CObj(o))?;
-                            }
-                        }
-                        InvokeKind::Static { target } => {
-                            let callee =
-                                self.policy
-                                    .merge_static(&mut self.tables, invoke, target, ctx);
-                            self.add_call_edge(invoke, ctx, target, callee)?;
-                        }
-                    }
-                }
-                Instruction::Join { .. }
-                | Instruction::MonitorEnter { .. }
-                | Instruction::MonitorExit { .. } => {}
-            }
-        }
-        Ok(())
-    }
-
-    /// Per-shard counters folded in shard-index order, plus the
-    /// coordinator's call-graph derivations — the deterministic merged
-    /// budget currency.
-    fn total_derivations(&self) -> u64 {
-        let mut total = 0u64;
-        for s in &self.shards {
-            total += s.derivations;
-        }
-        total + self.cg_derivations
-    }
-
-    fn is_cancelled(&self) -> bool {
-        self.config
-            .cancel
-            .as_ref()
-            .is_some_and(CancelToken::is_cancelled)
-    }
-
-    fn over_deadline(&self) -> bool {
-        self.config
-            .budget
-            .max_duration
-            .is_some_and(|max| self.start.elapsed() > max)
     }
 
     /// The inter-epoch barrier: replay pending events, instantiate newly
     /// reachable method bodies, route messages, then evaluate the stop
     /// conditions on the merged counters.
     fn barrier(&mut self) -> Result<Verdict, SolverError> {
-        let tele = self.config.telemetry.clone();
+        let core = &mut self.core;
+        let tele = core.config.telemetry.clone();
         let span = crate::telemetry::span_opt(&tele, "barrier");
-        if self.is_cancelled() {
+        if core.is_cancelled() {
             return Ok(Verdict::Stop(ExhaustionCause::Cancelled));
         }
         let mut pending: Vec<Pending> = Vec::new();
-        for s in &mut self.shards {
+        for s in &mut core.graph.shards {
             pending.append(&mut s.pending);
         }
         let pending_count = pending.len() as u64;
         let mut polled = 0u64;
-        let poll = |engine: &Engine<'_>, polled: &mut u64| -> Option<Verdict> {
+        let poll = |core: &Core<'_, Shards>, polled: &mut u64| -> Option<Verdict> {
             *polled += 1;
             if *polled & POLL_MASK != 0 {
                 return None;
             }
-            if engine.is_cancelled() {
+            if core.is_cancelled() {
                 return Some(Verdict::Stop(ExhaustionCause::Cancelled));
             }
-            if engine.over_deadline() {
+            if core.over_deadline() {
                 return Some(Verdict::Stop(ExhaustionCause::WallClock));
             }
             None
         };
         for ev in pending {
-            if let Some(stop) = poll(self, &mut polled) {
+            if let Some(stop) = poll(core, &mut polled) {
                 return Ok(stop);
             }
             match ev {
-                Pending::Load { field, to, obj } => {
-                    let fnode = self.field_node(CObj(obj), field)?;
-                    self.add_edge(fnode, to);
-                }
-                Pending::Store { from, field, obj } => {
-                    let fnode = self.field_node(CObj(obj), field)?;
-                    self.add_edge(from, fnode);
-                }
+                Pending::Load { field, to, obj } => core.load_obj(field, to, obj)?,
+                Pending::Store { from, field, obj } => core.store_obj(from, field, obj)?,
                 Pending::Call {
                     invoke,
                     caller,
                     obj,
-                } => {
-                    self.process_receiver_call(invoke, caller, CObj(obj))?;
-                }
+                } => core.process_receiver_call(invoke, caller, CObj(obj))?,
             }
         }
-        while let Some((m, c)) = self.inst_queue.pop_front() {
-            if let Some(stop) = poll(self, &mut polled) {
+        while let Some((m, c)) = core.inst_queue.pop_front() {
+            if let Some(stop) = poll(core, &mut polled) {
                 return Ok(stop);
             }
-            self.instantiate(m, c)?;
+            core.instantiate(m, c)?;
         }
         // Route: every destination receives sender 0..n's messages in
         // order, then the coordinator's — a fixed, schedule-independent
         // application order for the next epoch.
-        let n = self.shards.len();
+        let graph = &mut core.graph;
+        let n = graph.shards.len();
         let mut routed = 0u64;
         for d in 0..n {
-            let mut inbox = std::mem::take(&mut self.shards[d].inbox);
+            let mut inbox = std::mem::take(&mut graph.shards[d].inbox);
             for s in 0..n {
-                let msgs = std::mem::take(&mut self.shards[s].outbox[d]);
+                let msgs = std::mem::take(&mut graph.shards[s].outbox[d]);
                 routed += msgs.len() as u64;
                 inbox.extend(msgs);
             }
-            routed += self.coord_outbox[d].len() as u64;
-            inbox.append(&mut self.coord_outbox[d]);
-            self.shards[d].inbox = inbox;
+            routed += graph.coord_outbox[d].len() as u64;
+            inbox.append(&mut graph.coord_outbox[d]);
+            graph.shards[d].inbox = inbox;
         }
         if let Some(t) = tele.as_deref() {
             // Engine metrics: deterministic at a fixed thread count —
@@ -946,72 +475,53 @@ impl<'p> Engine<'p> {
             let e = self.epoch_index;
             t.metric(&format!("barrier{e}.pending"), pending_count);
             t.metric(&format!("barrier{e}.routed"), routed);
-            t.sample("derivations", self.total_derivations());
-            t.sample("contexts", self.tables.ctx_count() as u64);
+            t.sample("derivations", core.derivations());
+            t.sample("contexts", core.tables.ctx_count() as u64);
             if let Some(span) = &span {
                 span.arg("pending", pending_count);
                 span.arg("routed", routed);
             }
         }
-        // Stop checks, in the sequential solver's priority order.
-        if self.is_cancelled() {
-            return Ok(Verdict::Stop(ExhaustionCause::Cancelled));
-        }
-        if self.tables.overflowed() {
-            return Ok(Verdict::Replay);
-        }
-        if let Some(max) = self.config.budget.max_derivations {
-            if self.total_derivations() > max {
-                return Ok(Verdict::Replay);
+        // The sequential solver's stop checks, in its priority order:
+        // timing-dependent causes stop cooperatively, deterministic limits
+        // replay so the exact exhaustion point is reproduced.
+        Ok(match core.stop_cause() {
+            Some(cause @ (ExhaustionCause::Cancelled | ExhaustionCause::WallClock)) => {
+                Verdict::Stop(cause)
             }
-        }
-        if let Some(max) = self.config.budget.max_bytes {
-            let bytes = model_bytes(
-                self.node_count as u64,
-                self.edge_set.len() as u64,
-                self.total_derivations(),
-                self.tables.ctx_count() as u64,
-                self.tables.hctx_count() as u64,
-                self.reachable.len() as u64,
-            );
-            if bytes > max {
-                return Ok(Verdict::Replay);
+            Some(_) => Verdict::Replay,
+            None if core
+                .graph
+                .shards
+                .iter()
+                .all(|s| s.nodes.is_idle() && s.inbox.is_empty()) =>
+            {
+                Verdict::Done
             }
-        }
-        if self.over_deadline() {
-            return Ok(Verdict::Stop(ExhaustionCause::WallClock));
-        }
-        let idle = self
-            .shards
-            .iter()
-            .all(|s| s.worklist.is_empty() && s.inbox.is_empty());
-        if idle {
-            Ok(Verdict::Done)
-        } else {
-            Ok(Verdict::Continue)
-        }
+            None => Verdict::Continue,
+        })
     }
 
     /// One parallel epoch across all shards.
     fn run_parallel_epoch(&mut self) {
-        let chunk = if self.config.budget.max_derivations.is_some()
-            || self.config.budget.max_bytes.is_some()
+        let config = &self.core.config;
+        let chunk = if config.budget.max_derivations.is_some() || config.budget.max_bytes.is_some()
         {
             BUDGETED_EPOCH_CHUNK
         } else {
             u64::MAX
         };
-        let program = self.program;
-        let hierarchy = self.hierarchy;
-        let cancel = self.config.cancel.clone();
-        let tele = self.config.telemetry.as_deref();
+        let program = self.core.program;
+        let hierarchy = self.core.hierarchy;
+        let cancel = config.cancel.clone();
+        let tele = config.telemetry.as_deref();
         let span = tele.map(|t| {
             let s = t.span("epoch");
             s.arg("epoch", self.epoch_index);
             s
         });
         thread::scope(|scope| {
-            for (i, shard) in self.shards.iter_mut().enumerate() {
+            for (i, shard) in self.core.graph.shards.iter_mut().enumerate() {
                 let cancel = cancel.clone();
                 scope.spawn(move || {
                     run_epoch(shard, i, program, hierarchy, cancel.as_ref(), chunk, tele);
@@ -1027,18 +537,20 @@ impl<'p> Engine<'p> {
     /// the workers' busy-window spans (in shard-index order) and the
     /// epoch's deterministic engine metrics.
     fn record_epoch(&mut self) {
-        let mut deltas = Vec::with_capacity(self.shards.len());
+        let tele = self.core.config.telemetry.as_deref();
+        let shards = &self.core.graph.shards;
+        let mut deltas = Vec::with_capacity(shards.len());
         let mut total = 0u64;
         let mut max = 0u64;
         let mut drains = 0u64;
-        for (i, shard) in self.shards.iter().enumerate() {
-            let delta = shard.derivations - self.prev_derivations[i];
-            self.prev_derivations[i] = shard.derivations;
+        for (i, shard) in shards.iter().enumerate() {
+            let delta = shard.nodes.derivations - self.prev_derivations[i];
+            self.prev_derivations[i] = shard.nodes.derivations;
             total += delta;
             max = max.max(delta);
             drains += shard.epoch_drains;
             deltas.push(delta);
-            if let Some(t) = self.config.telemetry.as_deref() {
+            if let Some(t) = tele {
                 t.complete_span(
                     shard_lane(i),
                     "drain",
@@ -1053,7 +565,7 @@ impl<'p> Engine<'p> {
                 );
             }
         }
-        if let Some(t) = self.config.telemetry.as_deref() {
+        if let Some(t) = tele {
             let e = self.epoch_index;
             t.metric(&format!("epoch{e}.work"), total);
             t.metric(&format!("epoch{e}.max_shard_work"), max);
@@ -1064,16 +576,14 @@ impl<'p> Engine<'p> {
     }
 
     fn solve(&mut self) -> Result<(), ReplayNeeded> {
-        for &entry in &self.program.entry_points {
-            self.ensure_reachable(entry, CtxId::EMPTY);
-        }
+        self.core.seed_entries();
         loop {
             match self.barrier() {
                 Err(_) => return Err(ReplayNeeded),
                 Ok(Verdict::Replay) => return Err(ReplayNeeded),
                 Ok(Verdict::Done) => return Ok(()),
                 Ok(Verdict::Stop(cause)) => {
-                    self.exhausted = Some(cause);
+                    self.core.exhausted = Some(cause);
                     return Ok(());
                 }
                 Ok(Verdict::Continue) => {}
@@ -1082,126 +592,13 @@ impl<'p> Engine<'p> {
         }
     }
 
-    fn finish(self) -> PointsToResult {
-        let duration = self.start.elapsed();
-
-        let mut var_pts: IdxVec<VarId, Vec<AllocId>> =
-            (0..self.program.vars.len()).map(|_| Vec::new()).collect();
-        let mut field_pts: FxHashMap<(AllocId, FieldId), Vec<AllocId>> = FxHashMap::default();
-        let mut global_pts: FxHashMap<GlobalId, Vec<AllocId>> = FxHashMap::default();
-        let mut cs_var = 0u64;
-        let mut cs_field = 0u64;
-        let mut dump = self.config.record_contexts.then(CsDump::default);
-
-        for shard in &self.shards {
-            for (i, kind) in shard.kinds.iter().enumerate() {
-                match *kind {
-                    PKind::Var(v, ctx) => {
-                        cs_var += shard.pts[i].len() as u64;
-                        let set = &mut var_pts[v];
-                        for &o in &shard.pts[i] {
-                            let obj = CObj(o);
-                            set.push(obj.heap());
-                            if let Some(d) = dump.as_mut() {
-                                d.var_points_to.push((v, ctx, obj.heap(), obj.hctx()));
-                            }
-                        }
-                    }
-                    PKind::Global(global) => {
-                        let set = global_pts.entry(global).or_default();
-                        for &o in &shard.pts[i] {
-                            set.push(CObj(o).heap());
-                        }
-                    }
-                    PKind::Field(base, field) => {
-                        cs_field += shard.pts[i].len() as u64;
-                        let set = field_pts.entry((base.heap(), field)).or_default();
-                        for &o in &shard.pts[i] {
-                            let obj = CObj(o);
-                            set.push(obj.heap());
-                            if let Some(d) = dump.as_mut() {
-                                d.field_points_to.push((
-                                    base.heap(),
-                                    base.hctx(),
-                                    field,
-                                    obj.heap(),
-                                    obj.hctx(),
-                                ));
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        for set in var_pts.values_mut() {
-            set.sort_unstable();
-            set.dedup();
-        }
-        for set in field_pts.values_mut() {
-            set.sort_unstable();
-            set.dedup();
-        }
-        for set in global_pts.values_mut() {
-            set.sort_unstable();
-            set.dedup();
-        }
-
-        let mut call_targets: FxHashMap<InvokeId, Vec<MethodId>> = FxHashMap::default();
-        for &(ic, mc) in &self.cg_edges {
-            let invoke = InvokeId((ic >> 32) as u32);
-            let target = MethodId((mc >> 32) as u32);
-            call_targets.entry(invoke).or_default().push(target);
-            if let Some(d) = dump.as_mut() {
-                d.call_graph
-                    .push((invoke, CtxId(ic as u32), target, CtxId(mc as u32)));
-            }
-        }
-        for set in call_targets.values_mut() {
-            set.sort_unstable();
-            set.dedup();
-        }
-
-        let mut reachable_methods = IdBitSet::new(self.program.methods.len());
-        for &key in &self.reachable {
-            let m = MethodId((key >> 32) as u32);
-            reachable_methods.insert(m);
-            if let Some(d) = dump.as_mut() {
-                d.reachable.push((m, CtxId(key as u32)));
-            }
-        }
-
-        let stats = SolverStats {
-            derivations: self.total_derivations(),
-            cs_var_points_to: cs_var,
-            cs_field_points_to: cs_field,
-            call_graph_edges: self.cg_edge_count,
-            reachable_contexts: self.reachable.len() as u64,
-            contexts: self.tables.ctx_count() as u64,
-            heap_contexts: self.tables.hctx_count() as u64,
-            nodes: self.node_count as u64,
-            edges: self.edge_set.len() as u64,
-            duration,
-        };
-
-        PointsToResult {
-            analysis: self.policy.name(),
-            outcome: match self.exhausted {
-                None => Outcome::Complete,
-                Some(cause) if cause.is_capacity() => Outcome::CapacityExceeded,
-                Some(_) => Outcome::BudgetExhausted,
-            },
-            exhaustion: self.exhausted,
-            stats,
-            var_pts,
-            field_pts,
-            global_pts,
-            call_targets,
-            reachable_methods,
-            tables: self.tables,
-            cs_dump: dump,
-            shard_work: Some(self.shards.iter().map(|s| s.derivations).collect()),
-            epoch_shard_work: Some(self.epoch_shard_work),
-        }
+    /// The shared projection plus the per-shard work split.
+    fn into_result(self) -> PointsToResult {
+        let shard_work = self.core.graph.tables().map(|t| t.derivations).collect();
+        let mut result = self.core.finish();
+        result.shard_work = Some(shard_work);
+        result.epoch_shard_work = Some(self.epoch_shard_work);
+        result
     }
 }
 
@@ -1222,7 +619,7 @@ pub(crate) fn analyze_parallel(
     }
     let mut engine = Engine::new(program, hierarchy, policy, config.clone());
     match engine.solve() {
-        Ok(()) => engine.finish(),
+        Ok(()) => engine.into_result(),
         Err(ReplayNeeded) => {
             if let Some(t) = config.telemetry.as_deref() {
                 // The parallel attempt crossed a deterministic limit; the
@@ -1241,7 +638,7 @@ pub(crate) fn analyze_parallel(
 mod tests {
     use super::*;
     use crate::policy::{Insensitive, ObjectSensitive};
-    use crate::solver::{analyze, Budget};
+    use crate::solver::{analyze, Budget, Outcome};
     use rudoop_ir::ProgramBuilder;
 
     fn chain_program(n: usize) -> Program {

@@ -1,0 +1,824 @@
+//! The Figure-3 rules and every flavor hook, written once for both
+//! engines.
+//!
+//! The sequential worklist solver ([`crate::solver`]) and the sharded
+//! engine ([`crate::parallel`]) derive the same facts by the same rules;
+//! they differ only in where a propagation-graph node lives and in what
+//! inserting a points-to tuple means — an immediate insertion plus a
+//! worklist push, or a message to the owning shard applied at the next
+//! epoch. That difference is the [`Graph`] trait; everything else lives
+//! here, in [`Core`], generic over it (static dispatch only):
+//!
+//! - node interning for context-qualified variables, field slots and
+//!   static fields, under the node-capacity cap,
+//! - the REACHABLE-guarded instruction rules ([`Core::instantiate`]),
+//! - CALLGRAPH plus INTERPROCASSIGN, with the cut-shortcut identity,
+//!   setter and getter rerouting and the summaries engine's per-site atom
+//!   instantiation ([`Core::add_call_edge`]),
+//! - the VCALL rule ([`Core::process_receiver_call`]),
+//! - the per-object load/store handlers the drains call when an object
+//!   reaches a registered base ([`Core::load_obj`], [`Core::store_obj`]),
+//! - the deterministic stopping check and the result projection
+//!   ([`Core::finish`]).
+//!
+//! What stays per engine is only the propagation schedule: the
+//! sequential worklist drain, and the sharded epochs, barrier, message
+//! routing and sequential replay.
+
+use std::collections::VecDeque;
+use std::hash::Hash;
+use std::time::Instant;
+
+use rudoop_ir::{
+    AllocId, ClassHierarchy, ClassId, FieldId, GlobalId, IdxVec, Instruction, InvokeId, InvokeKind,
+    MethodId, Program, VarId,
+};
+
+use crate::bitset::IdBitSet;
+use crate::context::{CObj, CtxId, CtxTables, HCtxId};
+use crate::cutshortcut::ParamCut;
+use crate::hash::{FxHashMap, FxHashSet};
+use crate::policy::ContextPolicy;
+use crate::solver::{
+    model_bytes, CsDump, ExhaustionCause, Outcome, PointsToResult, SolverConfig, SolverError,
+    SolverStats,
+};
+use crate::summaries::SummaryAtom;
+
+/// What a propagation-graph node denotes.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum NodeKind {
+    /// A context-qualified variable.
+    Var(VarId, CtxId),
+    /// A field of a context-qualified object.
+    Field(CObj, FieldId),
+    /// A static field: one context-insensitive slot program-wide.
+    Global(GlobalId),
+}
+
+/// The per-node tables of one propagation graph (the sequential solver's
+/// whole graph, or one shard of the sharded engine), with its semi-naive
+/// worklist. `N` is the engine's node id, which successor lists name.
+#[derive(Debug)]
+pub(crate) struct NodeTable<N> {
+    pub(crate) kinds: Vec<NodeKind>,
+    pub(crate) pts: Vec<FxHashSet<u64>>,
+    pub(crate) delta: Vec<Vec<u64>>,
+    pub(crate) succ: Vec<Vec<N>>,
+    /// Cast-filtered copy edges: only objects conforming to the class pass.
+    pub(crate) filter_succ: Vec<Vec<(ClassId, N)>>,
+    pub(crate) loads: Vec<Vec<(FieldId, N)>>,
+    pub(crate) stores: Vec<Vec<(FieldId, N)>>,
+    pub(crate) calls: Vec<Vec<InvokeId>>,
+    pub(crate) node_ctx: Vec<CtxId>,
+    in_worklist: Vec<bool>,
+    worklist: VecDeque<u32>,
+    /// Points-to tuple insertions into this table (the points-to share of
+    /// the budget currency).
+    pub(crate) derivations: u64,
+}
+
+impl<N> Default for NodeTable<N> {
+    fn default() -> Self {
+        NodeTable {
+            kinds: Vec::new(),
+            pts: Vec::new(),
+            delta: Vec::new(),
+            succ: Vec::new(),
+            filter_succ: Vec::new(),
+            loads: Vec::new(),
+            stores: Vec::new(),
+            calls: Vec::new(),
+            node_ctx: Vec::new(),
+            in_worklist: Vec::new(),
+            worklist: VecDeque::new(),
+            derivations: 0,
+        }
+    }
+}
+
+impl<N> NodeTable<N> {
+    /// Appends a node; returns its index in this table.
+    pub(crate) fn push(&mut self, kind: NodeKind, ctx: CtxId) -> u32 {
+        let idx = self.kinds.len() as u32;
+        self.kinds.push(kind);
+        self.pts.push(FxHashSet::default());
+        self.delta.push(Vec::new());
+        self.succ.push(Vec::new());
+        self.filter_succ.push(Vec::new());
+        self.loads.push(Vec::new());
+        self.stores.push(Vec::new());
+        self.calls.push(Vec::new());
+        self.node_ctx.push(ctx);
+        self.in_worklist.push(false);
+        idx
+    }
+
+    /// Inserts `obj` into node `idx`'s points-to set; on a new tuple,
+    /// counts it and schedules semi-naive follow-up.
+    pub(crate) fn add_local(&mut self, idx: usize, obj: u64) {
+        if self.pts[idx].insert(obj) {
+            self.derivations += 1;
+            self.delta[idx].push(obj);
+            if !self.in_worklist[idx] {
+                self.in_worklist[idx] = true;
+                self.worklist.push_back(idx as u32);
+            }
+        }
+    }
+
+    /// Pops the next node with pending work.
+    pub(crate) fn pop(&mut self) -> Option<usize> {
+        let idx = self.worklist.pop_front()? as usize;
+        self.in_worklist[idx] = false;
+        Some(idx)
+    }
+
+    /// Whether no node has pending work.
+    pub(crate) fn is_idle(&self) -> bool {
+        self.worklist.is_empty()
+    }
+}
+
+/// Whether `obj` passes a cast to `class` (Doop's assign-cast filtering).
+pub(crate) fn cast_admits(
+    program: &Program,
+    hierarchy: &ClassHierarchy,
+    obj: u64,
+    class: ClassId,
+) -> bool {
+    hierarchy.is_subtype(program.allocs[CObj(obj).heap()].class, class)
+}
+
+/// The engine seam: node placement and tuple insertion.
+pub(crate) trait Graph {
+    /// Node identifier.
+    type Node: Copy + Eq + Hash;
+
+    /// Allocates a node for `kind` in the table that owns it.
+    fn push_node(&mut self, program: &Program, kind: NodeKind, ctx: CtxId) -> Self::Node;
+
+    /// The table holding `node`, and `node`'s index in it.
+    fn slot(&mut self, node: Self::Node) -> (&mut NodeTable<Self::Node>, usize);
+
+    /// Inserts a points-to tuple derived by a rule.
+    fn add_obj(&mut self, node: Self::Node, obj: u64);
+
+    /// Every node table, in a fixed order.
+    fn tables(&self) -> impl Iterator<Item = &NodeTable<Self::Node>>;
+}
+
+/// The objects currently at a node, copied out so rules can keep
+/// deriving while they walk them.
+fn snapshot<N>(table: &NodeTable<N>, idx: usize) -> Vec<u64> {
+    table.pts[idx].iter().copied().collect()
+}
+
+/// Engine-independent solver state and the rules over it.
+pub(crate) struct Core<'p, G: Graph> {
+    pub(crate) program: &'p Program,
+    pub(crate) hierarchy: &'p ClassHierarchy,
+    pub(crate) policy: &'p dyn ContextPolicy,
+    pub(crate) config: SolverConfig,
+    pub(crate) tables: CtxTables,
+    pub(crate) graph: G,
+    var_nodes: FxHashMap<u64, G::Node>,
+    field_nodes: FxHashMap<(u64, u32), G::Node>,
+    global_nodes: FxHashMap<u32, G::Node>,
+    edge_set: FxHashSet<(G::Node, G::Node)>,
+    reachable: FxHashSet<u64>,
+    cg_edges: FxHashSet<(u64, u64)>,
+    /// Reachable `(method, ctx)` pairs whose bodies are not yet
+    /// instantiated.
+    pub(crate) inst_queue: VecDeque<(MethodId, CtxId)>,
+    node_count: usize,
+    node_cap: usize,
+    start: Instant,
+    pub(crate) exhausted: Option<ExhaustionCause>,
+}
+
+impl<'p, G: Graph> Core<'p, G> {
+    pub(crate) fn new(
+        program: &'p Program,
+        hierarchy: &'p ClassHierarchy,
+        policy: &'p dyn ContextPolicy,
+        config: SolverConfig,
+        graph: G,
+    ) -> Self {
+        let node_cap = config
+            .max_nodes
+            .unwrap_or(u32::MAX as usize)
+            .min(u32::MAX as usize);
+        let mut tables = CtxTables::new();
+        if let Some(limit) = config.max_contexts {
+            tables.set_capacity(limit);
+        }
+        Core {
+            program,
+            hierarchy,
+            policy,
+            config,
+            tables,
+            graph,
+            var_nodes: FxHashMap::default(),
+            field_nodes: FxHashMap::default(),
+            global_nodes: FxHashMap::default(),
+            edge_set: FxHashSet::default(),
+            reachable: FxHashSet::default(),
+            cg_edges: FxHashSet::default(),
+            inst_queue: VecDeque::new(),
+            node_count: 0,
+            node_cap,
+            start: Instant::now(),
+            exhausted: None,
+        }
+    }
+
+    /// Allocates a propagation-graph node. Fails (instead of panicking)
+    /// when the node table is at capacity; the engine stops the run with
+    /// [`Outcome::CapacityExceeded`].
+    fn new_node(&mut self, kind: NodeKind, ctx: CtxId) -> Result<G::Node, SolverError> {
+        if self.node_count >= self.node_cap {
+            return Err(SolverError::NodeCapacity {
+                limit: self.node_cap,
+            });
+        }
+        self.node_count += 1;
+        Ok(self.graph.push_node(self.program, kind, ctx))
+    }
+
+    fn var_node(&mut self, var: VarId, ctx: CtxId) -> Result<G::Node, SolverError> {
+        let key = (u64::from(var.0) << 32) | u64::from(ctx.0);
+        if let Some(&n) = self.var_nodes.get(&key) {
+            return Ok(n);
+        }
+        let n = self.new_node(NodeKind::Var(var, ctx), ctx)?;
+        self.var_nodes.insert(key, n);
+        Ok(n)
+    }
+
+    fn field_node(&mut self, obj: CObj, field: FieldId) -> Result<G::Node, SolverError> {
+        let key = (obj.0, field.0);
+        if let Some(&n) = self.field_nodes.get(&key) {
+            return Ok(n);
+        }
+        let n = self.new_node(NodeKind::Field(obj, field), CtxId::EMPTY)?;
+        self.field_nodes.insert(key, n);
+        Ok(n)
+    }
+
+    fn global_node(&mut self, global: GlobalId) -> Result<G::Node, SolverError> {
+        if let Some(&n) = self.global_nodes.get(&global.0) {
+            return Ok(n);
+        }
+        let n = self.new_node(NodeKind::Global(global), CtxId::EMPTY)?;
+        self.global_nodes.insert(global.0, n);
+        Ok(n)
+    }
+
+    /// Adds a copy edge; objects already at `from` traverse it at once.
+    /// Objects still in flight to `from` (sharded messages) are not lost:
+    /// they enter `from`'s delta when applied, and the drain walks the
+    /// successor list, which now includes this edge.
+    fn add_edge(&mut self, from: G::Node, to: G::Node) {
+        if from == to || !self.edge_set.insert((from, to)) {
+            return;
+        }
+        let (table, i) = self.graph.slot(from);
+        table.succ[i].push(to);
+        if !table.pts[i].is_empty() {
+            for o in snapshot(table, i) {
+                self.graph.add_obj(to, o);
+            }
+        }
+    }
+
+    /// A copy edge that only lets objects whose class conforms to `class`
+    /// through (Doop's assign-cast filtering).
+    fn add_filtered_edge(&mut self, from: G::Node, to: G::Node, class: ClassId) {
+        let (table, i) = self.graph.slot(from);
+        table.filter_succ[i].push((class, to));
+        if !table.pts[i].is_empty() {
+            for o in snapshot(table, i) {
+                if cast_admits(self.program, self.hierarchy, o, class) {
+                    self.graph.add_obj(to, o);
+                }
+            }
+        }
+    }
+
+    /// `obj` reached the base of a registered load: `obj.field → to`.
+    pub(crate) fn load_obj(
+        &mut self,
+        field: FieldId,
+        to: G::Node,
+        obj: u64,
+    ) -> Result<(), SolverError> {
+        let fnode = self.field_node(CObj(obj), field)?;
+        self.add_edge(fnode, to);
+        Ok(())
+    }
+
+    /// `obj` reached the base of a registered store: `from → obj.field`.
+    pub(crate) fn store_obj(
+        &mut self,
+        from: G::Node,
+        field: FieldId,
+        obj: u64,
+    ) -> Result<(), SolverError> {
+        let fnode = self.field_node(CObj(obj), field)?;
+        self.add_edge(from, fnode);
+        Ok(())
+    }
+
+    /// Registers the load `to = base.field` and applies it to the objects
+    /// already at `base`; later arrivals are the drain's job.
+    fn register_load(
+        &mut self,
+        base: G::Node,
+        field: FieldId,
+        to: G::Node,
+    ) -> Result<(), SolverError> {
+        let (table, i) = self.graph.slot(base);
+        table.loads[i].push((field, to));
+        for o in snapshot(table, i) {
+            self.load_obj(field, to, o)?;
+        }
+        Ok(())
+    }
+
+    /// Registers the store `base.field = from`, like [`Self::register_load`].
+    fn register_store(
+        &mut self,
+        base: G::Node,
+        field: FieldId,
+        from: G::Node,
+    ) -> Result<(), SolverError> {
+        let (table, i) = self.graph.slot(base);
+        table.stores[i].push((field, from));
+        for o in snapshot(table, i) {
+            self.store_obj(from, field, o)?;
+        }
+        Ok(())
+    }
+
+    fn ensure_reachable(&mut self, method: MethodId, ctx: CtxId) {
+        let key = (u64::from(method.0) << 32) | u64::from(ctx.0);
+        if self.reachable.insert(key) {
+            self.inst_queue.push_back((method, ctx));
+        }
+    }
+
+    /// Marks every entry point reachable under the empty context.
+    pub(crate) fn seed_entries(&mut self) {
+        for &entry in &self.program.entry_points {
+            self.ensure_reachable(entry, CtxId::EMPTY);
+        }
+    }
+
+    /// Receiver variable of `invoke`, when it has one (virtual/special
+    /// calls and spawns; `None` for static calls).
+    fn invoke_base(&self, invoke: InvokeId) -> Option<VarId> {
+        match self.program.invokes[invoke].kind {
+            InvokeKind::Virtual { base, .. } | InvokeKind::Special { base, .. } => Some(base),
+            InvokeKind::Static { .. } => None,
+        }
+    }
+
+    /// The CALLGRAPH head plus INTERPROCASSIGN rules: adds a call edge and,
+    /// if new, the argument/return copy edges and callee reachability.
+    fn add_call_edge(
+        &mut self,
+        invoke: InvokeId,
+        caller: CtxId,
+        target: MethodId,
+        callee: CtxId,
+    ) -> Result<(), SolverError> {
+        let key = (
+            (u64::from(invoke.0) << 32) | u64::from(caller.0),
+            (u64::from(target.0) << 32) | u64::from(callee.0),
+        );
+        if !self.cg_edges.insert(key) {
+            return Ok(());
+        }
+        self.ensure_reachable(target, callee);
+        let program = self.program;
+        let inv = &program.invokes[invoke];
+        let callee_m = &program.methods[target];
+        let n_args = inv.args.len().min(callee_m.params.len());
+        let cuts = self.config.cuts.clone();
+        let cuts = cuts.as_deref();
+        for (i, &arg) in inv.args[..n_args].iter().enumerate() {
+            match cuts.and_then(|c| c.param_cut(target, i)) {
+                // Identity cut: the actual flows straight to the call's
+                // result, never through the shared formal. A result-less
+                // call site drops the value entirely (the callee provably
+                // only returned it).
+                Some(ParamCut::Identity) => {
+                    if let Some(result) = inv.result {
+                        let from = self.var_node(arg, caller)?;
+                        let to = self.var_node(result, caller)?;
+                        self.add_edge(from, to);
+                    }
+                }
+                // Setter cut: store the actual into the field of *this
+                // site's* receiver objects — registered on the base
+                // variable exactly like a `Store` instruction, so later
+                // receivers are handled by the drain.
+                Some(ParamCut::Setter(field)) => {
+                    if let Some(base) = self.invoke_base(invoke) {
+                        let b = self.var_node(base, caller)?;
+                        let f = self.var_node(arg, caller)?;
+                        self.register_store(b, field, f)?;
+                    }
+                }
+                None => {
+                    let from = self.var_node(arg, caller)?;
+                    let to = self.var_node(callee_m.params[i], callee)?;
+                    self.add_edge(from, to);
+                }
+            }
+        }
+        if let (Some(result), Some(ret)) = (inv.result, callee_m.ret) {
+            // Distilled summary: instantiate the callee's atoms at this
+            // site instead of the conflating `ret → result` edge — the
+            // summary-based compositional engine.
+            let summaries = self.config.summaries.clone();
+            if let Some(atoms) = summaries.as_deref().and_then(|t| t.distilled_atoms(target)) {
+                return self.instantiate_summary(invoke, caller, callee, result, atoms);
+            }
+            // Getter cut: load the field off *this site's* receiver objects
+            // straight into the result, skipping the shared formal return.
+            let getter = cuts
+                .and_then(|c| c.getter_return(target))
+                .and_then(|field| self.invoke_base(invoke).map(|base| (field, base)));
+            if let Some((field, base)) = getter {
+                let b = self.var_node(base, caller)?;
+                let to = self.var_node(result, caller)?;
+                self.register_load(b, field, to)?;
+            } else {
+                let from = self.var_node(ret, callee)?;
+                let to = self.var_node(result, caller)?;
+                self.add_edge(from, to);
+            }
+        }
+        Ok(())
+    }
+
+    /// Instantiates a distilled method summary at one call site: each atom
+    /// becomes a shortcut edge from the callee's formal parameter
+    /// (`ParamToRet`) or the global slot (`GlobalToRet`), a
+    /// receiver-registered load (`ThisFieldToRet`, handled exactly like a
+    /// getter cut), or a direct object insertion (`AllocToRet`, under the
+    /// empty heap context the summaries policy records).
+    ///
+    /// `ParamToRet` deliberately reads the *formal* parameter (the union
+    /// over all call sites) of the method the atom names — the summarized
+    /// callee itself, or a transitive callee for atoms inherited through
+    /// composition — not this site's actual argument: a per-site argument
+    /// edge would make summaries strictly more precise than `2objH`
+    /// wherever that flavor conflates call sites (static calls, shared
+    /// receiver objects, conflated inner callees), breaking the pinned
+    /// soundness chain `pts(2objH) ⊆ pts(summaries)`. The per-site
+    /// precision win comes from `ThisFieldToRet`, which filters the field
+    /// read through this site's receiver objects only. The formal is read
+    /// under `callee` — the summaries policy is context-free, so this is
+    /// the single context every method runs under.
+    fn instantiate_summary(
+        &mut self,
+        invoke: InvokeId,
+        caller: CtxId,
+        callee: CtxId,
+        result: VarId,
+        atoms: &[SummaryAtom],
+    ) -> Result<(), SolverError> {
+        let to = self.var_node(result, caller)?;
+        for &atom in atoms {
+            match atom {
+                SummaryAtom::ParamToRet(m, i) => {
+                    let param = self.program.methods[m].params[i];
+                    let from = self.var_node(param, callee)?;
+                    self.add_edge(from, to);
+                }
+                SummaryAtom::ThisFieldToRet(field) => {
+                    if let Some(base) = self.invoke_base(invoke) {
+                        let b = self.var_node(base, caller)?;
+                        self.register_load(b, field, to)?;
+                    }
+                }
+                SummaryAtom::AllocToRet(h) => {
+                    self.graph.add_obj(to, CObj::new(h, HCtxId::EMPTY).0);
+                }
+                SummaryAtom::GlobalToRet(g) => {
+                    let from = self.global_node(g)?;
+                    self.add_edge(from, to);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The VCALL rule: one receiver object arriving at the base variable of
+    /// a virtual or special call.
+    pub(crate) fn process_receiver_call(
+        &mut self,
+        invoke: InvokeId,
+        caller: CtxId,
+        obj: CObj,
+    ) -> Result<(), SolverError> {
+        let target = match self.program.invokes[invoke].kind {
+            InvokeKind::Virtual { sig, .. } => {
+                let class = self.program.allocs[obj.heap()].class;
+                match self.hierarchy.lookup(class, sig) {
+                    Some(t) => t,
+                    None => return Ok(()), // no method of this signature: dead dispatch
+                }
+            }
+            InvokeKind::Special { target, .. } => target,
+            // Static calls are never registered as receiver calls; keep the
+            // release hot path panic-free regardless.
+            InvokeKind::Static { .. } => {
+                debug_assert!(false, "static calls are not receiver calls");
+                return Ok(());
+            }
+        };
+        let callee = self.policy.merge(
+            &mut self.tables,
+            obj.heap(),
+            obj.hctx(),
+            invoke,
+            target,
+            caller,
+        );
+        if let Some(this) = self.program.methods[target].this {
+            let tnode = self.var_node(this, callee)?;
+            self.graph.add_obj(tnode, obj.0);
+        }
+        self.add_call_edge(invoke, caller, target, callee)
+    }
+
+    /// Instantiates the body of `method` under `ctx`: the REACHABLE-guarded
+    /// premises of every rule in Figure 3.
+    pub(crate) fn instantiate(&mut self, method: MethodId, ctx: CtxId) -> Result<(), SolverError> {
+        let program = self.program;
+        for instr in &program.methods[method].body {
+            match *instr {
+                Instruction::Alloc { var, alloc } => {
+                    let hctx = self.policy.record(&mut self.tables, alloc, ctx);
+                    let node = self.var_node(var, ctx)?;
+                    self.graph.add_obj(node, CObj::new(alloc, hctx).0);
+                }
+                Instruction::Move { to, from } => {
+                    let f = self.var_node(from, ctx)?;
+                    let t = self.var_node(to, ctx)?;
+                    self.add_edge(f, t);
+                }
+                Instruction::Cast { to, from, class } => {
+                    let f = self.var_node(from, ctx)?;
+                    let t = self.var_node(to, ctx)?;
+                    if self.config.filter_casts {
+                        self.add_filtered_edge(f, t, class);
+                    } else {
+                        self.add_edge(f, t);
+                    }
+                }
+                Instruction::Load { to, base, field } => {
+                    let b = self.var_node(base, ctx)?;
+                    let t = self.var_node(to, ctx)?;
+                    self.register_load(b, field, t)?;
+                }
+                Instruction::Store { base, field, from } => {
+                    let b = self.var_node(base, ctx)?;
+                    let f = self.var_node(from, ctx)?;
+                    self.register_store(b, field, f)?;
+                }
+                Instruction::LoadGlobal { to, global } => {
+                    let g = self.global_node(global)?;
+                    let t = self.var_node(to, ctx)?;
+                    self.add_edge(g, t);
+                }
+                Instruction::StoreGlobal { global, from } => {
+                    let f = self.var_node(from, ctx)?;
+                    let g = self.global_node(global)?;
+                    self.add_edge(f, g);
+                }
+                Instruction::Return { var } => {
+                    if let Some(ret) = program.methods[method].ret {
+                        let f = self.var_node(var, ctx)?;
+                        let t = self.var_node(ret, ctx)?;
+                        self.add_edge(f, t);
+                    }
+                }
+                // A spawn's implied `var.run()` call resolves like any other
+                // call: its call-graph edges *are* the thread-creation
+                // graph the race client consumes.
+                Instruction::Call { invoke } | Instruction::Spawn { invoke } => {
+                    match program.invokes[invoke].kind {
+                        InvokeKind::Virtual { base, .. } | InvokeKind::Special { base, .. } => {
+                            let b = self.var_node(base, ctx)?;
+                            let (table, i) = self.graph.slot(b);
+                            table.calls[i].push(invoke);
+                            for o in snapshot(table, i) {
+                                self.process_receiver_call(invoke, ctx, CObj(o))?;
+                            }
+                        }
+                        InvokeKind::Static { target } => {
+                            let callee =
+                                self.policy
+                                    .merge_static(&mut self.tables, invoke, target, ctx);
+                            self.add_call_edge(invoke, ctx, target, callee)?;
+                        }
+                    }
+                }
+                // Join and monitor instructions constrain the race client's
+                // happens-before/lock-set reasoning only; they neither
+                // create nor move references.
+                Instruction::Join { .. }
+                | Instruction::MonitorEnter { .. }
+                | Instruction::MonitorExit { .. } => {}
+            }
+        }
+        Ok(())
+    }
+
+    /// Tuple insertions so far: every table's points-to share plus one per
+    /// call-graph edge — the budget currency, folded in table order.
+    pub(crate) fn derivations(&self) -> u64 {
+        let points_to: u64 = self.graph.tables().map(|t| t.derivations).sum();
+        points_to + self.cg_edges.len() as u64
+    }
+
+    pub(crate) fn is_cancelled(&self) -> bool {
+        self.config
+            .cancel
+            .as_ref()
+            .is_some_and(|c| c.is_cancelled())
+    }
+
+    pub(crate) fn over_deadline(&self) -> bool {
+        self.config
+            .budget
+            .max_duration
+            .is_some_and(|max| self.start.elapsed() > max)
+    }
+
+    /// The stopping check, evaluated between units of work. The first
+    /// matching cause wins, in deterministic order: cancellation,
+    /// context-table overflow, derivation budget, memory budget, wall
+    /// clock.
+    pub(crate) fn stop_cause(&self) -> Option<ExhaustionCause> {
+        if self.is_cancelled() {
+            return Some(ExhaustionCause::Cancelled);
+        }
+        if self.tables.overflowed() {
+            return Some(ExhaustionCause::ContextTable);
+        }
+        if let Some(max) = self.config.budget.max_derivations {
+            if self.derivations() > max {
+                return Some(ExhaustionCause::Derivations);
+            }
+        }
+        if let Some(max) = self.config.budget.max_bytes {
+            let bytes = model_bytes(
+                self.node_count as u64,
+                self.edge_set.len() as u64,
+                self.derivations(),
+                self.tables.ctx_count() as u64,
+                self.tables.hctx_count() as u64,
+                self.reachable.len() as u64,
+            );
+            if bytes > max {
+                return Some(ExhaustionCause::Memory);
+            }
+        }
+        // An Instant read is ~20ns per check: cheap enough not to amortize.
+        if self.over_deadline() {
+            return Some(ExhaustionCause::WallClock);
+        }
+        None
+    }
+
+    /// Projects the context-sensitive relations onto the client-facing
+    /// [`PointsToResult`] (plus the raw tuples when recording).
+    pub(crate) fn finish(self) -> PointsToResult {
+        let duration = self.start.elapsed();
+
+        let mut var_pts: IdxVec<VarId, Vec<AllocId>> =
+            (0..self.program.vars.len()).map(|_| Vec::new()).collect();
+        let mut field_pts: FxHashMap<(AllocId, FieldId), Vec<AllocId>> = FxHashMap::default();
+        let mut global_pts: FxHashMap<GlobalId, Vec<AllocId>> = FxHashMap::default();
+        let mut cs_var = 0u64;
+        let mut cs_field = 0u64;
+        let mut dump = self.config.record_contexts.then(CsDump::default);
+
+        for table in self.graph.tables() {
+            for (kind, pts) in table.kinds.iter().zip(&table.pts) {
+                match *kind {
+                    NodeKind::Var(v, ctx) => {
+                        cs_var += pts.len() as u64;
+                        let set = &mut var_pts[v];
+                        for &o in pts {
+                            let obj = CObj(o);
+                            set.push(obj.heap());
+                            if let Some(d) = dump.as_mut() {
+                                d.var_points_to.push((v, ctx, obj.heap(), obj.hctx()));
+                            }
+                        }
+                    }
+                    NodeKind::Global(global) => {
+                        let set = global_pts.entry(global).or_default();
+                        for &o in pts {
+                            set.push(CObj(o).heap());
+                        }
+                    }
+                    NodeKind::Field(base, field) => {
+                        cs_field += pts.len() as u64;
+                        let set = field_pts.entry((base.heap(), field)).or_default();
+                        for &o in pts {
+                            let obj = CObj(o);
+                            set.push(obj.heap());
+                            if let Some(d) = dump.as_mut() {
+                                d.field_points_to.push((
+                                    base.heap(),
+                                    base.hctx(),
+                                    field,
+                                    obj.heap(),
+                                    obj.hctx(),
+                                ));
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        for set in var_pts.values_mut() {
+            set.sort_unstable();
+            set.dedup();
+        }
+        for set in field_pts.values_mut() {
+            set.sort_unstable();
+            set.dedup();
+        }
+        for set in global_pts.values_mut() {
+            set.sort_unstable();
+            set.dedup();
+        }
+
+        let mut call_targets: FxHashMap<InvokeId, Vec<MethodId>> = FxHashMap::default();
+        for &(ic, mc) in &self.cg_edges {
+            let invoke = InvokeId((ic >> 32) as u32);
+            let target = MethodId((mc >> 32) as u32);
+            call_targets.entry(invoke).or_default().push(target);
+            if let Some(d) = dump.as_mut() {
+                d.call_graph
+                    .push((invoke, CtxId(ic as u32), target, CtxId(mc as u32)));
+            }
+        }
+        for set in call_targets.values_mut() {
+            set.sort_unstable();
+            set.dedup();
+        }
+
+        let mut reachable_methods = IdBitSet::new(self.program.methods.len());
+        for &key in &self.reachable {
+            let m = MethodId((key >> 32) as u32);
+            reachable_methods.insert(m);
+            if let Some(d) = dump.as_mut() {
+                d.reachable.push((m, CtxId(key as u32)));
+            }
+        }
+
+        let stats = SolverStats {
+            derivations: self.derivations(),
+            cs_var_points_to: cs_var,
+            cs_field_points_to: cs_field,
+            call_graph_edges: self.cg_edges.len() as u64,
+            reachable_contexts: self.reachable.len() as u64,
+            contexts: self.tables.ctx_count() as u64,
+            heap_contexts: self.tables.hctx_count() as u64,
+            nodes: self.node_count as u64,
+            edges: self.edge_set.len() as u64,
+            duration,
+        };
+
+        PointsToResult {
+            analysis: self.policy.name(),
+            outcome: match self.exhausted {
+                None => Outcome::Complete,
+                Some(cause) if cause.is_capacity() => Outcome::CapacityExceeded,
+                Some(_) => Outcome::BudgetExhausted,
+            },
+            exhaustion: self.exhausted,
+            stats,
+            var_pts,
+            field_pts,
+            global_pts,
+            call_targets,
+            reachable_methods,
+            tables: self.tables,
+            cs_dump: dump,
+            shard_work: None,
+            epoch_shard_work: None,
+        }
+    }
+}

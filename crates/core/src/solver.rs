@@ -17,25 +17,29 @@
 //! - the VCALL rule (and its MERGEREFINED duplicate, again folded into the
 //!   policy) is the solver's receiver-call processing step.
 //!
+//! The rules and every flavor hook (cut-shortcut rerouting, summary
+//! instantiation) are written once, in the crate-private `rules` module,
+//! and shared with the sharded engine of [`crate::parallel`]; this module
+//! owns the public result types and the sequential worklist drain.
+//!
 //! A [`Budget`] models the paper's 90-minute/24 GB wall: when exceeded the
 //! solver stops and reports [`Outcome::BudgetExhausted`], which the
 //! evaluation harness renders the way the paper renders timed-out bars.
 
-use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use rudoop_ir::{
-    AllocId, ClassHierarchy, FieldId, GlobalId, IdxVec, Instruction, InvokeId, InvokeKind,
-    MethodId, Program, VarId,
+    AllocId, ClassHierarchy, FieldId, GlobalId, IdxVec, InvokeId, MethodId, Program, VarId,
 };
 
 use crate::bitset::IdBitSet;
 use crate::context::{CObj, CtxId, CtxTables, HCtxId};
-use crate::hash::{FxHashMap, FxHashSet};
+use crate::hash::FxHashMap;
 use crate::policy::ContextPolicy;
+use crate::rules::{cast_admits, Core, Graph, NodeKind, NodeTable};
 
 /// Resource limits for one solver run.
 ///
@@ -479,18 +483,31 @@ impl PointsToResult {
     }
 }
 
-/// Node identifier in the propagation graph.
+/// Node identifier in the sequential propagation graph: an index into its
+/// single [`NodeTable`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct NodeId(u32);
 
-#[derive(Debug, Clone, Copy)]
-enum NodeKind {
-    /// A context-qualified variable.
-    Var(VarId, CtxId),
-    /// A field of a context-qualified object.
-    Field(CObj, FieldId),
-    /// A static field: one context-insensitive slot program-wide.
-    Global(GlobalId),
+/// The sequential graph is one node table; a rule's tuple insertion takes
+/// effect immediately and queues the node for the worklist drain.
+impl Graph for NodeTable<NodeId> {
+    type Node = NodeId;
+
+    fn push_node(&mut self, _: &Program, kind: NodeKind, ctx: CtxId) -> NodeId {
+        NodeId(self.push(kind, ctx))
+    }
+
+    fn slot(&mut self, node: NodeId) -> (&mut NodeTable<NodeId>, usize) {
+        (self, node.0 as usize)
+    }
+
+    fn add_obj(&mut self, node: NodeId, obj: u64) {
+        self.add_local(node.0 as usize, obj);
+    }
+
+    fn tables(&self) -> impl Iterator<Item = &NodeTable<NodeId>> {
+        std::iter::once(self)
+    }
 }
 
 /// Runs the analysis of `program` under `policy`.
@@ -509,7 +526,7 @@ pub fn analyze(
     let result = if config.parallelism.is_parallel() {
         crate::parallel::analyze_parallel(program, hierarchy, policy, config)
     } else {
-        Solver::new(program, hierarchy, policy, config.clone()).run()
+        analyze_sequential(program, hierarchy, policy, config)
     };
     record_run_counters(&config.telemetry, &result);
     result
@@ -551,547 +568,34 @@ pub(crate) fn analyze_sequential(
     policy: &dyn ContextPolicy,
     config: &SolverConfig,
 ) -> PointsToResult {
-    Solver::new(program, hierarchy, policy, config.clone()).run()
+    let core = Core::new(
+        program,
+        hierarchy,
+        policy,
+        config.clone(),
+        NodeTable::default(),
+    );
+    Solver { core, drains: 0 }.run()
 }
 
+/// The sequential engine: the shared rules over one node table, drained by
+/// a single FIFO worklist.
 struct Solver<'p> {
-    program: &'p Program,
-    hierarchy: &'p ClassHierarchy,
-    policy: &'p dyn ContextPolicy,
-    config: SolverConfig,
-    tables: CtxTables,
-
-    nodes: Vec<NodeKind>,
-    pts: Vec<FxHashSet<u64>>,
-    delta: Vec<Vec<u64>>,
-    succ: Vec<Vec<NodeId>>,
-    loads: Vec<Vec<(FieldId, NodeId)>>,
-    stores: Vec<Vec<(FieldId, NodeId)>>,
-    calls: Vec<Vec<InvokeId>>,
-    node_ctx: Vec<CtxId>,
-
-    filter_succ: Vec<Vec<(rudoop_ir::ClassId, NodeId)>>,
-    var_nodes: FxHashMap<u64, NodeId>,
-    field_nodes: FxHashMap<(u64, u32), NodeId>,
-    global_nodes: FxHashMap<u32, NodeId>,
-    edge_set: FxHashSet<(u32, u32)>,
-
-    reachable: FxHashSet<u64>,
-    cg_edges: FxHashSet<(u64, u64)>,
-    inst_queue: VecDeque<(MethodId, CtxId)>,
-
-    worklist: VecDeque<NodeId>,
-    in_worklist: Vec<bool>,
-
-    derivations: u64,
-    cg_edge_count: u64,
+    core: Core<'p, NodeTable<NodeId>>,
+    /// Worklist pops (an engine metric, not a counter).
     drains: u64,
-    start: Instant,
-    exhausted: Option<ExhaustionCause>,
-    node_cap: usize,
 }
 
-impl<'p> Solver<'p> {
-    fn new(
-        program: &'p Program,
-        hierarchy: &'p ClassHierarchy,
-        policy: &'p dyn ContextPolicy,
-        config: SolverConfig,
-    ) -> Self {
-        let node_cap = config
-            .max_nodes
-            .unwrap_or(u32::MAX as usize)
-            .min(u32::MAX as usize);
-        let mut tables = CtxTables::new();
-        if let Some(limit) = config.max_contexts {
-            tables.set_capacity(limit);
-        }
-        Solver {
-            program,
-            hierarchy,
-            policy,
-            config,
-            tables,
-            nodes: Vec::new(),
-            pts: Vec::new(),
-            delta: Vec::new(),
-            succ: Vec::new(),
-            loads: Vec::new(),
-            stores: Vec::new(),
-            calls: Vec::new(),
-            node_ctx: Vec::new(),
-            filter_succ: Vec::new(),
-            var_nodes: FxHashMap::default(),
-            field_nodes: FxHashMap::default(),
-            global_nodes: FxHashMap::default(),
-            edge_set: FxHashSet::default(),
-            reachable: FxHashSet::default(),
-            cg_edges: FxHashSet::default(),
-            inst_queue: VecDeque::new(),
-            worklist: VecDeque::new(),
-            in_worklist: Vec::new(),
-            derivations: 0,
-            cg_edge_count: 0,
-            drains: 0,
-            start: Instant::now(),
-            exhausted: None,
-            node_cap,
-        }
-    }
-
-    /// Allocates a propagation-graph node. Fails (instead of panicking)
-    /// when the node table is at capacity; the error propagates to the main
-    /// loop, which stops the run with [`Outcome::CapacityExceeded`].
-    fn new_node(&mut self, kind: NodeKind, ctx: CtxId) -> Result<NodeId, SolverError> {
-        if self.nodes.len() >= self.node_cap {
-            return Err(SolverError::NodeCapacity {
-                limit: self.node_cap,
-            });
-        }
-        let id = NodeId(self.nodes.len() as u32);
-        self.nodes.push(kind);
-        self.pts.push(FxHashSet::default());
-        self.delta.push(Vec::new());
-        self.succ.push(Vec::new());
-        self.loads.push(Vec::new());
-        self.stores.push(Vec::new());
-        self.calls.push(Vec::new());
-        self.node_ctx.push(ctx);
-        self.filter_succ.push(Vec::new());
-        self.in_worklist.push(false);
-        Ok(id)
-    }
-
-    fn var_node(&mut self, var: VarId, ctx: CtxId) -> Result<NodeId, SolverError> {
-        let key = (u64::from(var.0) << 32) | u64::from(ctx.0);
-        if let Some(&n) = self.var_nodes.get(&key) {
-            return Ok(n);
-        }
-        let n = self.new_node(NodeKind::Var(var, ctx), ctx)?;
-        self.var_nodes.insert(key, n);
-        Ok(n)
-    }
-
-    fn field_node(&mut self, obj: CObj, field: FieldId) -> Result<NodeId, SolverError> {
-        let key = (obj.0, field.0);
-        if let Some(&n) = self.field_nodes.get(&key) {
-            return Ok(n);
-        }
-        let n = self.new_node(NodeKind::Field(obj, field), CtxId::EMPTY)?;
-        self.field_nodes.insert(key, n);
-        Ok(n)
-    }
-
-    fn global_node(&mut self, global: GlobalId) -> Result<NodeId, SolverError> {
-        if let Some(&n) = self.global_nodes.get(&global.0) {
-            return Ok(n);
-        }
-        let n = self.new_node(NodeKind::Global(global), CtxId::EMPTY)?;
-        self.global_nodes.insert(global.0, n);
-        Ok(n)
-    }
-
-    fn enqueue(&mut self, node: NodeId) {
-        if !self.in_worklist[node.0 as usize] {
-            self.in_worklist[node.0 as usize] = true;
-            self.worklist.push_back(node);
-        }
-    }
-
-    fn add_obj(&mut self, node: NodeId, obj: u64) {
-        let i = node.0 as usize;
-        if self.pts[i].insert(obj) {
-            self.derivations += 1;
-            self.delta[i].push(obj);
-            self.enqueue(node);
-        }
-    }
-
-    fn add_edge(&mut self, from: NodeId, to: NodeId) {
-        if from == to || !self.edge_set.insert((from.0, to.0)) {
-            return;
-        }
-        self.succ[from.0 as usize].push(to);
-        if !self.pts[from.0 as usize].is_empty() {
-            let objs: Vec<u64> = self.pts[from.0 as usize].iter().copied().collect();
-            for o in objs {
-                self.add_obj(to, o);
-            }
-        }
-    }
-
-    /// A copy edge that only lets objects whose class conforms to `class`
-    /// through (Doop's assign-cast filtering).
-    fn add_filtered_edge(&mut self, from: NodeId, to: NodeId, class: rudoop_ir::ClassId) {
-        self.filter_succ[from.0 as usize].push((class, to));
-        if !self.pts[from.0 as usize].is_empty() {
-            let objs: Vec<u64> = self.pts[from.0 as usize].iter().copied().collect();
-            for o in objs {
-                let heap_class = self.program.allocs[CObj(o).heap()].class;
-                if self.hierarchy.is_subtype(heap_class, class) {
-                    self.add_obj(to, o);
-                }
-            }
-        }
-    }
-
-    fn ensure_reachable(&mut self, method: MethodId, ctx: CtxId) {
-        let key = (u64::from(method.0) << 32) | u64::from(ctx.0);
-        if self.reachable.insert(key) {
-            self.inst_queue.push_back((method, ctx));
-        }
-    }
-
-    /// The CALLGRAPH head plus INTERPROCASSIGN rules: adds a call edge and,
-    /// if new, the argument/return copy edges and callee reachability.
-    fn add_call_edge(
-        &mut self,
-        invoke: InvokeId,
-        caller: CtxId,
-        target: MethodId,
-        callee: CtxId,
-    ) -> Result<(), SolverError> {
-        let key = (
-            (u64::from(invoke.0) << 32) | u64::from(caller.0),
-            (u64::from(target.0) << 32) | u64::from(callee.0),
-        );
-        if !self.cg_edges.insert(key) {
-            return Ok(());
-        }
-        self.cg_edge_count += 1;
-        self.derivations += 1;
-        self.ensure_reachable(target, callee);
-        let inv = &self.program.invokes[invoke];
-        let callee_m = &self.program.methods[target];
-        let n_args = inv.args.len().min(callee_m.params.len());
-        let cuts = self.config.cuts.clone();
-        let cuts = cuts.as_deref();
-        for i in 0..n_args {
-            let arg = self.program.invokes[invoke].args[i];
-            match cuts.and_then(|c| c.param_cut(target, i)) {
-                // Identity cut: the actual flows straight to the call's
-                // result, never through the shared formal. A result-less
-                // call site drops the value entirely (the callee provably
-                // only returned it).
-                Some(crate::cutshortcut::ParamCut::Identity) => {
-                    if let Some(result) = self.program.invokes[invoke].result {
-                        let from = self.var_node(arg, caller)?;
-                        let to = self.var_node(result, caller)?;
-                        self.add_edge(from, to);
-                    }
-                }
-                // Setter cut: store the actual into the field of *this
-                // site's* receiver objects — registered on the base
-                // variable exactly like a `Store` instruction, so later
-                // receivers are handled by the worklist.
-                Some(crate::cutshortcut::ParamCut::Setter(field)) => {
-                    if let Some(base) = self.invoke_base(invoke) {
-                        let b = self.var_node(base, caller)?;
-                        let f = self.var_node(arg, caller)?;
-                        self.stores[b.0 as usize].push((field, f));
-                        let existing: Vec<u64> = self.pts[b.0 as usize].iter().copied().collect();
-                        for o in existing {
-                            let fnode = self.field_node(CObj(o), field)?;
-                            self.add_edge(f, fnode);
-                        }
-                    }
-                }
-                None => {
-                    let from = self.var_node(arg, caller)?;
-                    let to = self.var_node(self.program.methods[target].params[i], callee)?;
-                    self.add_edge(from, to);
-                }
-            }
-        }
-        if let (Some(result), Some(ret)) = (
-            self.program.invokes[invoke].result,
-            self.program.methods[target].ret,
-        ) {
-            // Distilled summary: instantiate the callee's atoms at this
-            // site instead of the conflating `ret → result` edge — the
-            // summary-based compositional engine.
-            let summaries = self.config.summaries.clone();
-            if let Some(atoms) = summaries.as_deref().and_then(|t| t.distilled_atoms(target)) {
-                self.instantiate_summary(invoke, caller, callee, result, atoms)?;
-                return Ok(());
-            }
-            // Getter cut: load the field off *this site's* receiver objects
-            // straight into the result, skipping the shared formal return.
-            let getter = cuts
-                .and_then(|c| c.getter_return(target))
-                .and_then(|field| self.invoke_base(invoke).map(|base| (field, base)));
-            if let Some((field, base)) = getter {
-                let b = self.var_node(base, caller)?;
-                let to = self.var_node(result, caller)?;
-                self.loads[b.0 as usize].push((field, to));
-                let existing: Vec<u64> = self.pts[b.0 as usize].iter().copied().collect();
-                for o in existing {
-                    let fnode = self.field_node(CObj(o), field)?;
-                    self.add_edge(fnode, to);
-                }
-            } else {
-                let from = self.var_node(ret, callee)?;
-                let to = self.var_node(result, caller)?;
-                self.add_edge(from, to);
-            }
-        }
-        Ok(())
-    }
-
-    /// Instantiates a distilled method summary at one call site: each atom
-    /// becomes a shortcut edge from the callee's formal parameter
-    /// (`ParamToRet`) or the global slot (`GlobalToRet`), a
-    /// receiver-registered load (`ThisFieldToRet`, handled exactly like a
-    /// getter cut), or a direct object insertion (`AllocToRet`, under the
-    /// empty heap context the summaries policy records).
-    ///
-    /// `ParamToRet` deliberately reads the *formal* parameter (the union
-    /// over all call sites) of the method the atom names — the summarized
-    /// callee itself, or a transitive callee for atoms inherited through
-    /// composition — not this site's actual argument: a per-site argument
-    /// edge would make summaries strictly more precise than `2objH`
-    /// wherever that flavor conflates call sites (static calls, shared
-    /// receiver objects, conflated inner callees), breaking the pinned
-    /// soundness chain `pts(2objH) ⊆ pts(summaries)`. The per-site
-    /// precision win comes from `ThisFieldToRet`, which filters the field
-    /// read through this site's receiver objects only. The formal is read
-    /// under `callee` — the summaries policy is context-free, so this is
-    /// the single context every method runs under.
-    fn instantiate_summary(
-        &mut self,
-        invoke: InvokeId,
-        caller: CtxId,
-        callee: CtxId,
-        result: VarId,
-        atoms: &[crate::summaries::SummaryAtom],
-    ) -> Result<(), SolverError> {
-        use crate::summaries::SummaryAtom;
-        let to = self.var_node(result, caller)?;
-        for &atom in atoms {
-            match atom {
-                SummaryAtom::ParamToRet(m, i) => {
-                    let param = self.program.methods[m].params[i];
-                    let from = self.var_node(param, callee)?;
-                    self.add_edge(from, to);
-                }
-                SummaryAtom::ThisFieldToRet(field) => {
-                    if let Some(base) = self.invoke_base(invoke) {
-                        let b = self.var_node(base, caller)?;
-                        self.loads[b.0 as usize].push((field, to));
-                        let existing: Vec<u64> = self.pts[b.0 as usize].iter().copied().collect();
-                        for o in existing {
-                            let fnode = self.field_node(CObj(o), field)?;
-                            self.add_edge(fnode, to);
-                        }
-                    }
-                }
-                SummaryAtom::AllocToRet(h) => {
-                    self.add_obj(to, CObj::new(h, HCtxId::EMPTY).0);
-                }
-                SummaryAtom::GlobalToRet(g) => {
-                    let from = self.global_node(g)?;
-                    self.add_edge(from, to);
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Receiver variable of `invoke`, when it has one (virtual/special
-    /// calls and spawns; `None` for static calls).
-    fn invoke_base(&self, invoke: InvokeId) -> Option<VarId> {
-        match self.program.invokes[invoke].kind {
-            InvokeKind::Virtual { base, .. } | InvokeKind::Special { base, .. } => Some(base),
-            InvokeKind::Static { .. } => None,
-        }
-    }
-
-    /// The VCALL rule: one receiver object arriving at the base variable of
-    /// a virtual or special call.
-    fn process_receiver_call(
-        &mut self,
-        invoke: InvokeId,
-        caller: CtxId,
-        obj: CObj,
-    ) -> Result<(), SolverError> {
-        let target = match self.program.invokes[invoke].kind {
-            InvokeKind::Virtual { sig, .. } => {
-                let class = self.program.allocs[obj.heap()].class;
-                match self.hierarchy.lookup(class, sig) {
-                    Some(t) => t,
-                    None => return Ok(()), // no method of this signature: dead dispatch
-                }
-            }
-            InvokeKind::Special { target, .. } => target,
-            // Static calls are never registered as receiver calls; keep the
-            // release hot path panic-free regardless.
-            InvokeKind::Static { .. } => {
-                debug_assert!(false, "static calls are not receiver calls");
-                return Ok(());
-            }
-        };
-        let callee = self.policy.merge(
-            &mut self.tables,
-            obj.heap(),
-            obj.hctx(),
-            invoke,
-            target,
-            caller,
-        );
-        if let Some(this) = self.program.methods[target].this {
-            let tnode = self.var_node(this, callee)?;
-            self.add_obj(tnode, obj.0);
-        }
-        self.add_call_edge(invoke, caller, target, callee)
-    }
-
-    /// Instantiates the body of `method` under `ctx`: the REACHABLE-guarded
-    /// premises of every rule in Figure 3.
-    fn instantiate(&mut self, method: MethodId, ctx: CtxId) -> Result<(), SolverError> {
-        let body_len = self.program.methods[method].body.len();
-        for idx in 0..body_len {
-            let instr = self.program.methods[method].body[idx].clone();
-            match instr {
-                Instruction::Alloc { var, alloc } => {
-                    let hctx = self.policy.record(&mut self.tables, alloc, ctx);
-                    let node = self.var_node(var, ctx)?;
-                    self.add_obj(node, CObj::new(alloc, hctx).0);
-                }
-                Instruction::Move { to, from } => {
-                    let f = self.var_node(from, ctx)?;
-                    let t = self.var_node(to, ctx)?;
-                    self.add_edge(f, t);
-                }
-                Instruction::Cast { to, from, class } => {
-                    let f = self.var_node(from, ctx)?;
-                    let t = self.var_node(to, ctx)?;
-                    if self.config.filter_casts {
-                        self.add_filtered_edge(f, t, class);
-                    } else {
-                        self.add_edge(f, t);
-                    }
-                }
-                Instruction::Load { to, base, field } => {
-                    let b = self.var_node(base, ctx)?;
-                    let t = self.var_node(to, ctx)?;
-                    self.loads[b.0 as usize].push((field, t));
-                    let existing: Vec<u64> = self.pts[b.0 as usize].iter().copied().collect();
-                    for o in existing {
-                        let fnode = self.field_node(CObj(o), field)?;
-                        self.add_edge(fnode, t);
-                    }
-                }
-                Instruction::Store { base, field, from } => {
-                    let b = self.var_node(base, ctx)?;
-                    let f = self.var_node(from, ctx)?;
-                    self.stores[b.0 as usize].push((field, f));
-                    let existing: Vec<u64> = self.pts[b.0 as usize].iter().copied().collect();
-                    for o in existing {
-                        let fnode = self.field_node(CObj(o), field)?;
-                        self.add_edge(f, fnode);
-                    }
-                }
-                Instruction::LoadGlobal { to, global } => {
-                    let g = self.global_node(global)?;
-                    let t = self.var_node(to, ctx)?;
-                    self.add_edge(g, t);
-                }
-                Instruction::StoreGlobal { global, from } => {
-                    let f = self.var_node(from, ctx)?;
-                    let g = self.global_node(global)?;
-                    self.add_edge(f, g);
-                }
-                Instruction::Return { var } => {
-                    if let Some(ret) = self.program.methods[method].ret {
-                        let f = self.var_node(var, ctx)?;
-                        let t = self.var_node(ret, ctx)?;
-                        self.add_edge(f, t);
-                    }
-                }
-                // A spawn's implied `var.run()` call resolves like any other
-                // call: its call-graph edges *are* the thread-creation
-                // graph the race client consumes.
-                Instruction::Call { invoke } | Instruction::Spawn { invoke } => {
-                    match self.program.invokes[invoke].kind {
-                        InvokeKind::Virtual { base, .. } | InvokeKind::Special { base, .. } => {
-                            let b = self.var_node(base, ctx)?;
-                            self.calls[b.0 as usize].push(invoke);
-                            let existing: Vec<u64> =
-                                self.pts[b.0 as usize].iter().copied().collect();
-                            for o in existing {
-                                self.process_receiver_call(invoke, ctx, CObj(o))?;
-                            }
-                        }
-                        InvokeKind::Static { target } => {
-                            let callee =
-                                self.policy
-                                    .merge_static(&mut self.tables, invoke, target, ctx);
-                            self.add_call_edge(invoke, ctx, target, callee)?;
-                        }
-                    }
-                }
-                // Join and monitor instructions constrain the race client's
-                // happens-before/lock-set reasoning only; they neither
-                // create nor move references.
-                Instruction::Join { .. }
-                | Instruction::MonitorEnter { .. }
-                | Instruction::MonitorExit { .. } => {}
-            }
-        }
-        Ok(())
-    }
-
-    /// The per-step stopping check, evaluated between units of work. The
-    /// first matching cause wins, in deterministic order: cancellation,
-    /// context-table overflow, derivation budget, memory budget, wall clock.
-    fn stop_cause(&self) -> Option<ExhaustionCause> {
-        if let Some(cancel) = &self.config.cancel {
-            if cancel.is_cancelled() {
-                return Some(ExhaustionCause::Cancelled);
-            }
-        }
-        if self.tables.overflowed() {
-            return Some(ExhaustionCause::ContextTable);
-        }
-        if let Some(max) = self.config.budget.max_derivations {
-            if self.derivations > max {
-                return Some(ExhaustionCause::Derivations);
-            }
-        }
-        if let Some(max) = self.config.budget.max_bytes {
-            let bytes = model_bytes(
-                self.nodes.len() as u64,
-                self.edge_set.len() as u64,
-                self.derivations,
-                self.tables.ctx_count() as u64,
-                self.tables.hctx_count() as u64,
-                self.reachable.len() as u64,
-            );
-            if bytes > max {
-                return Some(ExhaustionCause::Memory);
-            }
-        }
-        if let Some(max) = self.config.budget.max_duration {
-            // Amortize clock reads: only check every 4096 derivations would
-            // complicate determinism; an Instant read is ~20ns, acceptable.
-            if self.start.elapsed() > max {
-                return Some(ExhaustionCause::WallClock);
-            }
-        }
-        None
-    }
-
+impl Solver<'_> {
     fn run(mut self) -> PointsToResult {
-        let tele = self.config.telemetry.clone();
+        let tele = self.core.config.telemetry.clone();
         let span = crate::telemetry::span_opt(&tele, "solve");
         if let Some(span) = &span {
-            span.arg("analysis", self.policy.name());
+            span.arg("analysis", self.core.policy.name());
         }
-        for &entry in &self.program.entry_points {
-            self.ensure_reachable(entry, CtxId::EMPTY);
-        }
+        self.core.seed_entries();
         if let Err(err) = self.solve() {
-            self.exhausted = Some(err.cause());
+            self.core.exhausted = Some(err.cause());
         }
         if let Some(tele) = tele.as_deref() {
             // Engine metric: sequential worklist drains. Not in the counter
@@ -1099,7 +603,10 @@ impl<'p> Solver<'p> {
             // so drain counts are topology-dependent.
             tele.metric("seq.worklist_drains", self.drains);
         }
-        let result = self.finish();
+        let result = {
+            let _project = crate::telemetry::span_opt(&tele, "project");
+            self.core.finish()
+        };
         if let Some(span) = &span {
             span.arg("derivations", result.stats.derivations);
             span.arg("outcome", format!("{:?}", result.outcome));
@@ -1107,192 +614,70 @@ impl<'p> Solver<'p> {
         result
     }
 
+    /// Alternates instantiating newly reachable bodies with semi-naive
+    /// drains of one node's delta, until both queues are empty or a stop
+    /// condition fires.
     fn solve(&mut self) -> Result<(), SolverError> {
+        let core = &mut self.core;
         'outer: loop {
-            while let Some((m, c)) = self.inst_queue.pop_front() {
-                if let Some(cause) = self.stop_cause() {
-                    self.exhausted = Some(cause);
+            while let Some((m, c)) = core.inst_queue.pop_front() {
+                if let Some(cause) = core.stop_cause() {
+                    core.exhausted = Some(cause);
                     break 'outer;
                 }
-                self.instantiate(m, c)?;
+                core.instantiate(m, c)?;
             }
-            let Some(node) = self.worklist.pop_front() else {
+            let Some(i) = core.graph.pop() else {
                 break;
             };
-            self.in_worklist[node.0 as usize] = false;
             self.drains += 1;
-            if let Some(cause) = self.stop_cause() {
-                self.exhausted = Some(cause);
+            if let Some(cause) = core.stop_cause() {
+                core.exhausted = Some(cause);
                 break;
             }
-            let d = std::mem::take(&mut self.delta[node.0 as usize]);
+            let d = std::mem::take(&mut core.graph.delta[i]);
             if d.is_empty() {
                 continue;
             }
-            let succs = self.succ[node.0 as usize].clone();
+            let succs = core.graph.succ[i].clone();
             for s in succs {
                 for &o in &d {
-                    self.add_obj(s, o);
+                    core.graph.add_local(s.0 as usize, o);
                 }
             }
-            if !self.filter_succ[node.0 as usize].is_empty() {
-                let filtered = self.filter_succ[node.0 as usize].clone();
+            if !core.graph.filter_succ[i].is_empty() {
+                let filtered = core.graph.filter_succ[i].clone();
                 for (class, s) in filtered {
                     for &o in &d {
-                        let heap_class = self.program.allocs[CObj(o).heap()].class;
-                        if self.hierarchy.is_subtype(heap_class, class) {
-                            self.add_obj(s, o);
+                        if cast_admits(core.program, core.hierarchy, o, class) {
+                            core.graph.add_local(s.0 as usize, o);
                         }
                     }
                 }
             }
-            let loads = self.loads[node.0 as usize].clone();
+            let loads = core.graph.loads[i].clone();
             for (field, to) in loads {
                 for &o in &d {
-                    let fnode = self.field_node(CObj(o), field)?;
-                    self.add_edge(fnode, to);
+                    core.load_obj(field, to, o)?;
                 }
             }
-            let stores = self.stores[node.0 as usize].clone();
+            let stores = core.graph.stores[i].clone();
             for (field, from) in stores {
                 for &o in &d {
-                    let fnode = self.field_node(CObj(o), field)?;
-                    self.add_edge(from, fnode);
+                    core.store_obj(from, field, o)?;
                 }
             }
-            let calls = self.calls[node.0 as usize].clone();
+            let calls = core.graph.calls[i].clone();
             if !calls.is_empty() {
-                let caller = self.node_ctx[node.0 as usize];
+                let caller = core.graph.node_ctx[i];
                 for invoke in calls {
                     for &o in &d {
-                        self.process_receiver_call(invoke, caller, CObj(o))?;
+                        core.process_receiver_call(invoke, caller, CObj(o))?;
                     }
                 }
             }
         }
         Ok(())
-    }
-
-    fn finish(self) -> PointsToResult {
-        let tele = self.config.telemetry.clone();
-        let _span = crate::telemetry::span_opt(&tele, "project");
-        let duration = self.start.elapsed();
-
-        let mut var_pts: IdxVec<VarId, Vec<AllocId>> =
-            (0..self.program.vars.len()).map(|_| Vec::new()).collect();
-        let mut field_pts: FxHashMap<(AllocId, FieldId), Vec<AllocId>> = FxHashMap::default();
-        let mut global_pts: FxHashMap<GlobalId, Vec<AllocId>> = FxHashMap::default();
-        let mut cs_var = 0u64;
-        let mut cs_field = 0u64;
-        let mut dump = self.config.record_contexts.then(CsDump::default);
-
-        for (i, kind) in self.nodes.iter().enumerate() {
-            match *kind {
-                NodeKind::Var(v, ctx) => {
-                    cs_var += self.pts[i].len() as u64;
-                    let set = &mut var_pts[v];
-                    for &o in &self.pts[i] {
-                        let obj = CObj(o);
-                        set.push(obj.heap());
-                        if let Some(d) = dump.as_mut() {
-                            d.var_points_to.push((v, ctx, obj.heap(), obj.hctx()));
-                        }
-                    }
-                }
-                NodeKind::Global(global) => {
-                    let set = global_pts.entry(global).or_default();
-                    for &o in &self.pts[i] {
-                        set.push(CObj(o).heap());
-                    }
-                }
-                NodeKind::Field(base, field) => {
-                    cs_field += self.pts[i].len() as u64;
-                    let set = field_pts.entry((base.heap(), field)).or_default();
-                    for &o in &self.pts[i] {
-                        let obj = CObj(o);
-                        set.push(obj.heap());
-                        if let Some(d) = dump.as_mut() {
-                            d.field_points_to.push((
-                                base.heap(),
-                                base.hctx(),
-                                field,
-                                obj.heap(),
-                                obj.hctx(),
-                            ));
-                        }
-                    }
-                }
-            }
-        }
-        for set in var_pts.values_mut() {
-            set.sort_unstable();
-            set.dedup();
-        }
-        for set in field_pts.values_mut() {
-            set.sort_unstable();
-            set.dedup();
-        }
-        for set in global_pts.values_mut() {
-            set.sort_unstable();
-            set.dedup();
-        }
-
-        let mut call_targets: FxHashMap<InvokeId, Vec<MethodId>> = FxHashMap::default();
-        for &(ic, mc) in &self.cg_edges {
-            let invoke = InvokeId((ic >> 32) as u32);
-            let target = MethodId((mc >> 32) as u32);
-            call_targets.entry(invoke).or_default().push(target);
-            if let Some(d) = dump.as_mut() {
-                d.call_graph
-                    .push((invoke, CtxId(ic as u32), target, CtxId(mc as u32)));
-            }
-        }
-        for set in call_targets.values_mut() {
-            set.sort_unstable();
-            set.dedup();
-        }
-
-        let mut reachable_methods = IdBitSet::new(self.program.methods.len());
-        for &key in &self.reachable {
-            let m = MethodId((key >> 32) as u32);
-            reachable_methods.insert(m);
-            if let Some(d) = dump.as_mut() {
-                d.reachable.push((m, CtxId(key as u32)));
-            }
-        }
-
-        let stats = SolverStats {
-            derivations: self.derivations,
-            cs_var_points_to: cs_var,
-            cs_field_points_to: cs_field,
-            call_graph_edges: self.cg_edge_count,
-            reachable_contexts: self.reachable.len() as u64,
-            contexts: self.tables.ctx_count() as u64,
-            heap_contexts: self.tables.hctx_count() as u64,
-            nodes: self.nodes.len() as u64,
-            edges: self.edge_set.len() as u64,
-            duration,
-        };
-
-        PointsToResult {
-            analysis: self.policy.name(),
-            outcome: match self.exhausted {
-                None => Outcome::Complete,
-                Some(cause) if cause.is_capacity() => Outcome::CapacityExceeded,
-                Some(_) => Outcome::BudgetExhausted,
-            },
-            exhaustion: self.exhausted,
-            stats,
-            var_pts,
-            field_pts,
-            global_pts,
-            call_targets,
-            reachable_methods,
-            tables: self.tables,
-            cs_dump: dump,
-            shard_work: None,
-            epoch_shard_work: None,
-        }
     }
 }
 

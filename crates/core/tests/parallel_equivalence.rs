@@ -47,20 +47,26 @@ fn assert_same(tag: &str, seq: &PointsToResult, par: &PointsToResult) {
 }
 
 fn check_flavor(program: &Program, name: &str, flavor: Flavor, budget: Budget, threads: &[usize]) {
+    check_flavor_config(program, name, flavor, &config(1, budget, false), threads);
+}
+
+/// [`check_flavor`] from an arbitrary sequential configuration: each
+/// sharded run differs from it only in the thread count.
+fn check_flavor_config(
+    program: &Program,
+    name: &str,
+    flavor: Flavor,
+    base: &SolverConfig,
+    threads: &[usize],
+) {
     let hierarchy = ClassHierarchy::new(program);
-    let seq = analyze_flavor(
-        program,
-        &hierarchy,
-        flavor,
-        &config(1, budget.clone(), false),
-    );
+    let seq = analyze_flavor(program, &hierarchy, flavor, base);
     for &t in threads {
-        let par = analyze_flavor(
-            program,
-            &hierarchy,
-            flavor,
-            &config(t, budget.clone(), false),
-        );
+        let par_config = SolverConfig {
+            parallelism: Parallelism::threads(t),
+            ..base.clone()
+        };
+        let par = analyze_flavor(program, &hierarchy, flavor, &par_config);
         assert_same(&format!("{name}/{flavor:?}/t{t}"), &seq, &par);
     }
 }
@@ -78,7 +84,7 @@ fn check_introspective(
         &hierarchy,
         Flavor::OBJ2H,
         heuristic,
-        &config(1, budget.clone(), false),
+        &config(1, budget, false),
     );
     for &t in threads {
         let par = analyze_introspective(
@@ -86,7 +92,7 @@ fn check_introspective(
             &hierarchy,
             Flavor::OBJ2H,
             heuristic,
-            &config(t, budget.clone(), false),
+            &config(t, budget, false),
         );
         let tag = format!("{name}/intro{}/t{t}", heuristic.label());
         assert_same(&tag, &seq.result, &par.result);
@@ -148,6 +154,27 @@ fn insensitive_is_identical_on_all_nine() {
             Budget::unlimited(),
             &[2, 4],
         );
+    }
+}
+
+/// Assign-cast filtering adds cast-filtered copy edges, which the sharded
+/// engine drains on their own path; insens and budgeted `2objH` with
+/// filtering on must match the sequential solver on all nine workloads.
+#[test]
+fn filtered_casts_are_identical_on_all_nine() {
+    for spec in dacapo::all_nine() {
+        let program = spec.build();
+        let name = format!("{}/filter-casts", spec.name);
+        for (flavor, budget) in [
+            (Flavor::Insensitive, Budget::unlimited()),
+            (Flavor::OBJ2H, Budget::derivations(150_000)),
+        ] {
+            let base = SolverConfig {
+                filter_casts: true,
+                ..config(1, budget, false)
+            };
+            check_flavor_config(&program, &name, flavor, &base, &[2, 4]);
+        }
     }
 }
 

@@ -109,6 +109,15 @@ fn tokenize(line: usize, s: &str) -> Result<Vec<Tok>, ParseError> {
     Ok(toks)
 }
 
+impl fmt::Display for Tok {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Tok::Ident(s) => f.write_str(s),
+            Tok::Punct(c) => write!(f, "{c}"),
+        }
+    }
+}
+
 /// Cursor over one line's tokens.
 struct Cur<'a> {
     toks: &'a [Tok],
@@ -288,6 +297,14 @@ pub fn parse_program(source: &str) -> Result<Program, ParseError> {
                 }
                 i += 1;
             }
+        } else if !cur.eat_ident("class") && !cur.eat_ident("entry") {
+            return err(
+                *line,
+                format!(
+                    "unexpected `{}` at top level (expected class, field, global, method or entry)",
+                    toks[0]
+                ),
+            );
         }
         i += 1;
     }
@@ -1003,6 +1020,17 @@ entry C.main
         let p = parse_program(src).unwrap();
         assert_eq!(p.spawn_sites().count(), 0);
         assert_eq!(validate(&p), Ok(()));
+    }
+
+    #[test]
+    fn unrecognized_top_level_line_is_an_error() {
+        let e = parse_program("hello world\n").unwrap_err();
+        assert_eq!(e.line, 1);
+        assert!(e.message.contains("unexpected `hello` at top level"), "{e}");
+        let src = "class Object\n\nmethod Object.main() static {\n}\n}\nentry Object.main\n";
+        let e = parse_program(src).unwrap_err();
+        assert_eq!(e.line, 5, "{e}");
+        assert!(e.message.contains("unexpected `}`"), "{e}");
     }
 
     #[test]

@@ -6,11 +6,12 @@
 //!
 //! Every run asserts canonical-stats equality against the sequential
 //! reference before its time is recorded, so the file doubles as an
-//! equivalence receipt. `host_cpus` records what the host could actually
-//! parallelize: on a single-CPU machine the sharded engine cannot beat
-//! the sequential solver (threads time-slice one core and pay the
-//! epoch-barrier overhead), and the numbers say so rather than pretending
-//! otherwise.
+//! equivalence receipt. Each configuration is timed `REPEATS` times with
+//! telemetry off, thread counts alternating within each round, and the
+//! median is reported; one extra traced run per sharded configuration
+//! supplies the epoch profile. `host_cpus` records what the host could
+//! actually parallelize: with one CPU the threads time-slice one core and
+//! pay the epoch-barrier overhead, so no speedup is possible.
 
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -68,6 +69,14 @@ fn epoch_profile(tele: &TelemetryHandle) -> (Option<u64>, Option<u64>, Option<f6
     (Some(pct(0.5)), Some(pct(0.95)), Some(frac))
 }
 
+/// Timed runs per configuration.
+const REPEATS: usize = 5;
+
+fn median(xs: &mut [f64]) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
+}
+
 fn main() {
     let out_path = std::env::args()
         .nth(1)
@@ -77,32 +86,32 @@ fn main() {
         .unwrap_or(1);
     let mut runs: Vec<Run> = Vec::new();
 
-    let cases: Vec<(rudoop::workloads::WorkloadSpec, usize)> = vec![
-        (dacapo::antlr(), 1),
-        (dacapo::lusearch(), 1),
-        (dacapo::pmd(), 1),
-        (
-            {
-                let mut s = dacapo::antlr();
-                s.scale = 4;
-                s
-            },
-            4,
-        ),
+    const INSENS: (Flavor, &str) = (Flavor::Insensitive, "insens");
+    const OBJ2H: (Flavor, &str) = (Flavor::OBJ2H, "2objH");
+    let scaled_antlr = {
+        let mut s = dacapo::antlr();
+        s.scale = 4;
+        s
+    };
+    let cases = vec![
+        (dacapo::antlr(), 1, vec![INSENS, OBJ2H]),
+        (dacapo::lusearch(), 1, vec![INSENS, OBJ2H]),
+        (dacapo::pmd(), 1, vec![INSENS, OBJ2H]),
+        (dacapo::bloat(), 1, vec![OBJ2H]),
+        (dacapo::xalan(), 1, vec![OBJ2H]),
+        (scaled_antlr, 4, vec![INSENS, OBJ2H]),
     ];
+    const THREADS: [usize; 3] = [1, 2, 4];
 
-    for (spec, scale) in cases {
+    for (spec, scale, flavors) in cases {
         let program = spec.build();
         let hierarchy = ClassHierarchy::new(&program);
-        for (flavor, name) in [(Flavor::Insensitive, "insens"), (Flavor::OBJ2H, "2objH")] {
-            let mut seq_time = 0.0;
-            let mut seq_stats = None;
-            for threads in [1usize, 2, 4] {
-                let tele: TelemetryHandle = (threads > 1).then(|| Arc::new(Telemetry::new()));
+        for (flavor, name) in flavors {
+            let run = |threads: usize, tele: TelemetryHandle| {
                 let config = SolverConfig {
                     budget: Budget::unlimited(),
                     parallelism: Parallelism::threads(threads),
-                    telemetry: tele.clone(),
+                    telemetry: tele,
                     ..SolverConfig::default()
                 };
                 let start = Instant::now();
@@ -113,18 +122,33 @@ fn main() {
                     "{}/{name} must complete",
                     spec.name
                 );
-                match &seq_stats {
-                    None => {
-                        seq_stats = Some(result.stats.canonical());
-                        seq_time = seconds;
+                (result, seconds)
+            };
+            let mut seq_stats = None;
+            let mut times: Vec<Vec<f64>> = vec![Vec::new(); THREADS.len()];
+            let mut last = Vec::new();
+            for round in 0..REPEATS {
+                for (k, &threads) in THREADS.iter().enumerate() {
+                    let (result, seconds) = run(threads, None);
+                    let canonical = result.stats.canonical();
+                    match &seq_stats {
+                        None => seq_stats = Some(canonical),
+                        Some(reference) => assert_eq!(
+                            reference, &canonical,
+                            "{}/{name}/t{threads}: engines disagree",
+                            spec.name
+                        ),
                     }
-                    Some(reference) => assert_eq!(
-                        reference,
-                        &result.stats.canonical(),
-                        "{}/{name}/t{threads}: engines disagree",
-                        spec.name
-                    ),
+                    times[k].push(seconds);
+                    if round + 1 == REPEATS {
+                        last.push(result);
+                    }
                 }
+            }
+            let seq_time = median(&mut times[0]);
+            for (k, &threads) in THREADS.iter().enumerate() {
+                let result = &last[k];
+                let seconds = median(&mut times[k]);
                 let imbalance = result.shard_work.as_ref().map(|work| {
                     let max = *work.iter().max().unwrap_or(&0) as f64;
                     let mean = work.iter().sum::<u64>() as f64 / work.len().max(1) as f64;
@@ -144,6 +168,10 @@ fn main() {
                     result.stats.derivations,
                     seq_time / seconds
                 );
+                let tele: TelemetryHandle = (threads > 1).then(|| Arc::new(Telemetry::new()));
+                if tele.is_some() {
+                    run(threads, tele.clone());
+                }
                 let (epoch_p50_us, epoch_p95_us, barrier_wait_frac) = epoch_profile(&tele);
                 runs.push(Run {
                     workload: spec.name.clone(),
@@ -166,9 +194,11 @@ fn main() {
     let _ = writeln!(json, "  \"host_cpus\": {host_cpus},");
     let _ = writeln!(
         json,
-        "  \"note\": \"wall-clock of a single iteration per configuration; every sharded run \
-         is asserted byte-identical (canonical stats) to its sequential reference before \
-         timing is recorded; sustained speedup > 1 at threads > 1 requires host_cpus > 1\","
+        "  \"note\": \"seconds is the median wall-clock of {REPEATS} untraced runs per \
+         configuration (thread counts alternating within each round); epoch_* and \
+         barrier_wait_frac come from one extra traced run; every run is asserted \
+         byte-identical (canonical stats) to its sequential reference; sustained speedup > 1 \
+         at threads > 1 requires host_cpus > 1\","
     );
     json.push_str("  \"runs\": [");
     for (i, r) in runs.iter().enumerate() {

@@ -83,6 +83,27 @@ fn unknown_code_and_missing_file_exit_two() {
     assert_eq!(out.status.code(), Some(2), "{out:?}");
 }
 
+/// Input that is not IL at all is a line-numbered parse error for both
+/// binaries, never an empty program that analyzes cleanly.
+#[test]
+fn garbage_input_is_a_parse_error() {
+    let mut path = std::env::temp_dir();
+    path.push(format!("rudoop-test-{}-garbage.rdp", std::process::id()));
+    std::fs::write(&path, "hello world\n").unwrap();
+    let file = path.to_str().unwrap();
+    let lint = rudoop_lint(&[file]);
+    let run = Command::new(env!("CARGO_BIN_EXE_rudoop"))
+        .arg(file)
+        .output()
+        .expect("failed to run rudoop");
+    std::fs::remove_file(&path).ok();
+    let expected = "line 1: unexpected `hello` at top level";
+    assert_eq!(lint.status.code(), Some(2), "{lint:?}");
+    assert!(stderr(&lint).contains(expected), "{lint:?}");
+    assert_eq!(run.status.code(), Some(1), "{run:?}");
+    assert!(stderr(&run).contains(expected), "{run:?}");
+}
+
 #[test]
 fn list_prints_all_codes() {
     let out = rudoop_lint(&["--list"]);
