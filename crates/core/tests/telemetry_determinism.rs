@@ -227,7 +227,16 @@ fn service_counter_stream_is_run_invariant() {
             telemetry: tele.clone(),
             ..ServiceConfig::default()
         };
-        let program = dacapo::antlr().build();
+        // A tiny program, so the worker slot is held for the stall alone:
+        // a benchmark-sized solve after the stall can outlast the retry
+        // backoff in unoptimized builds and shed the retry a second time.
+        let program = rudoop_ir::parse_program(
+            "class Object\n\
+             method Object.id(x) static {\n  return x\n}\n\
+             method Object.main() static {\n  o = new Object\n  r = static Object.id(o)\n}\n\
+             entry Object.main\n",
+        )
+        .expect("parse");
         let state = Arc::new(ServiceState::new(program, config));
         let server = Server::bind(Arc::clone(&state), "127.0.0.1:0").expect("bind");
         let handle = server.spawn().expect("spawn");

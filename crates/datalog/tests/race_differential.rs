@@ -368,9 +368,12 @@ fn static_and_many_locks_seed() -> Program {
     b.finish()
 }
 
+/// A named seed program and its minimum insensitive race count.
+type Seed = (&'static str, fn() -> Program, usize);
+
 #[test]
 fn seeded_concurrent_programs_agree_across_flavors() {
-    let seeds: [(&str, fn() -> Program, usize); 6] = [
+    let seeds: [Seed; 6] = [
         ("shared_counter", shared_counter_seed, 1),
         ("private_counters", private_counters_seed, 1),
         ("guarded_cache", guarded_cache_seed, 1),
