@@ -1,7 +1,12 @@
-//! A dense bitset indexed by IR ids, used to store refinement sets in
-//! complement form (the paper's footnote 4: the *not*-refined sets are tiny,
-//! but membership is queried on every context construction, so it must be
-//! `O(1)` and cache-friendly).
+//! Bitsets over dense id domains.
+//!
+//! - [`IdBitSet`]: a fixed-domain bitset indexed by IR ids, used to store
+//!   refinement sets in complement form (the paper's footnote 4: the
+//!   *not*-refined sets are tiny, but membership is queried on every
+//!   context construction, so it must be `O(1)` and cache-friendly).
+//! - `ObjSet` (crate-private): the solver's points-to set over interned
+//!   object ids, in two forms chosen by size (the sets are bimodal: most
+//!   hold a handful of objects, the rest hundreds).
 
 use std::marker::PhantomData;
 
@@ -78,10 +83,141 @@ impl<I: Idx> IdBitSet<I> {
     }
 }
 
+/// Members an [`ObjSet`] holds as a sorted vector before it becomes a
+/// bitset: at 32 ids the vector is 128 bytes, about one bitset over the
+/// first thousand ids.
+const SMALL_MAX: usize = 32;
+
+/// A set of interned object ids (`u32`), iterated in increasing order.
+///
+/// Small sets are a sorted `Vec<u32>`; once an insertion would exceed
+/// [`SMALL_MAX`] members the set becomes a dense bitset of `u64` words
+/// that grows to its highest id. The solver interns each context-qualified
+/// object once, so ids are dense and a large set costs one bit per object
+/// in the program's object domain instead of a hash-table slot per member.
+#[derive(Debug, Clone)]
+pub(crate) enum ObjSet {
+    /// At most [`SMALL_MAX`] ids, sorted.
+    Small(Vec<u32>),
+    /// One bit per id; `len` is the number of set bits.
+    Dense { words: Vec<u64>, len: usize },
+}
+
+impl Default for ObjSet {
+    fn default() -> Self {
+        ObjSet::Small(Vec::new())
+    }
+}
+
+impl ObjSet {
+    /// Inserts `id`; returns whether it was newly inserted.
+    #[inline]
+    pub(crate) fn insert(&mut self, id: u32) -> bool {
+        match self {
+            ObjSet::Small(ids) => match ids.binary_search(&id) {
+                Ok(_) => false,
+                Err(pos) if ids.len() < SMALL_MAX => {
+                    ids.insert(pos, id);
+                    true
+                }
+                Err(_) => {
+                    let top = ids.last().map_or(id, |&last| last.max(id));
+                    let mut words = vec![0u64; top as usize / 64 + 1];
+                    for &i in ids.iter().chain([&id]) {
+                        words[i as usize / 64] |= 1 << (i % 64);
+                    }
+                    *self = ObjSet::Dense {
+                        words,
+                        len: SMALL_MAX + 1,
+                    };
+                    true
+                }
+            },
+            ObjSet::Dense { words, len } => {
+                let w = id as usize / 64;
+                if w >= words.len() {
+                    words.resize(w + 1, 0);
+                }
+                let mask = 1u64 << (id % 64);
+                if words[w] & mask != 0 {
+                    return false;
+                }
+                words[w] |= mask;
+                *len += 1;
+                true
+            }
+        }
+    }
+
+    /// Number of ids in the set.
+    #[inline]
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            ObjSet::Small(ids) => ids.len(),
+            ObjSet::Dense { len, .. } => *len,
+        }
+    }
+
+    /// Whether the set is empty.
+    #[inline]
+    pub(crate) fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Iterates over the ids in increasing order.
+    pub(crate) fn iter(&self) -> ObjSetIter<'_> {
+        match self {
+            ObjSet::Small(ids) => ObjSetIter::Small(ids.iter()),
+            ObjSet::Dense { words, .. } => ObjSetIter::Dense {
+                words,
+                base: 0,
+                bits: 0,
+            },
+        }
+    }
+}
+
+/// Iterator over an [`ObjSet`], in increasing id order.
+pub(crate) enum ObjSetIter<'a> {
+    Small(std::slice::Iter<'a, u32>),
+    Dense {
+        /// Words not yet loaded.
+        words: &'a [u64],
+        /// Id of bit 0 of the word after `bits`.
+        base: usize,
+        /// Unvisited bits of the current word.
+        bits: u64,
+    },
+}
+
+impl Iterator for ObjSetIter<'_> {
+    type Item = u32;
+
+    #[inline]
+    fn next(&mut self) -> Option<u32> {
+        match self {
+            ObjSetIter::Small(ids) => ids.next().copied(),
+            ObjSetIter::Dense { words, base, bits } => {
+                while *bits == 0 {
+                    let (&first, rest) = words.split_first()?;
+                    *bits = first;
+                    *words = rest;
+                    *base += 64;
+                }
+                let id = *base - 64 + bits.trailing_zeros() as usize;
+                *bits &= *bits - 1;
+                Some(id as u32)
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rudoop_ir::rng::SplitMix64;
     use rudoop_ir::AllocId;
+    use std::collections::BTreeSet;
 
     #[test]
     fn insert_and_contains() {
@@ -117,5 +253,46 @@ mod tests {
     fn out_of_domain_insert_panics() {
         let mut s: IdBitSet<AllocId> = IdBitSet::new(10);
         s.insert(AllocId(10));
+    }
+
+    /// Seeded insert sequences against a `BTreeSet` model, across the
+    /// small-to-bitset promotion: `insert`'s new-ness, `len`, `is_empty`
+    /// and ordered iteration agree after every step.
+    #[test]
+    fn obj_set_matches_a_btree_model() {
+        for seed in 0..64u64 {
+            let mut rng = SplitMix64::new(seed);
+            // Narrow domains force duplicates; wide ones sparse bitsets.
+            let domain = [8, 40, 200, 5000][seed as usize % 4];
+            let steps = rng.below(3 * SMALL_MAX) + 1;
+            let mut set = ObjSet::default();
+            let mut model = BTreeSet::new();
+            assert!(set.is_empty());
+            for _ in 0..steps {
+                let id = rng.below(domain) as u32;
+                assert_eq!(set.insert(id), model.insert(id), "seed {seed} id {id}");
+                assert_eq!(set.len(), model.len(), "seed {seed}");
+                assert_eq!(set.is_empty(), model.is_empty());
+                assert!(set.iter().eq(model.iter().copied()), "seed {seed}");
+            }
+            let promoted = matches!(set, ObjSet::Dense { .. });
+            assert_eq!(promoted, model.len() > SMALL_MAX, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn obj_set_promotes_past_the_small_limit() {
+        let mut set = ObjSet::default();
+        for id in (0..=SMALL_MAX as u32).rev() {
+            assert!(set.insert(id * 70));
+        }
+        assert!(matches!(set, ObjSet::Dense { .. }));
+        assert!(!set.insert(0));
+        assert!(set.insert(100_000));
+        let got: Vec<u32> = set.iter().collect();
+        let mut want: Vec<u32> = (0..=SMALL_MAX as u32).map(|i| i * 70).collect();
+        want.push(100_000);
+        assert_eq!(got, want);
+        assert_eq!(set.len(), SMALL_MAX + 2);
     }
 }

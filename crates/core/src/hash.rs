@@ -50,9 +50,18 @@ impl Hasher for FxHasher {
     fn write_usize(&mut self, n: usize) {
         self.add_to_hash(n as u64);
     }
+    /// The accumulated hash, rotated so its high-entropy bits land low.
+    ///
+    /// For a single word the state is `word * SEED`, whose low bits depend
+    /// only on the word's low bits — and `hashbrown` picks the bucket from
+    /// the hash's *low* bits. Packed keys such as `heap << 32 | hctx` or
+    /// `var << 32 | ctx` with a zero low half (every context-insensitive
+    /// key) would then all share one probe chain. Rotating (as rustc-hash
+    /// 2 does) moves the well-mixed high bits down; with this seed, 20 is
+    /// the rotation that spreads such keys best.
     #[inline]
     fn finish(&self) -> u64 {
-        self.hash
+        self.hash.rotate_left(20)
     }
 }
 
@@ -91,6 +100,26 @@ mod tests {
         let mut s: FxHashSet<u32> = FxHashSet::default();
         assert!(s.insert(3));
         assert!(!s.insert(3));
+    }
+
+    /// Packed `(high << 32) | low` keys that differ only in their high
+    /// half must spread over the low bits `hashbrown` buckets by.
+    #[test]
+    fn packed_keys_spread_over_low_bits() {
+        for c in [0u64, 7] {
+            let buckets: HashSet<u64> = (0..1024u64)
+                .map(|i| {
+                    let mut h = FxHasher::default();
+                    h.write_u64((i << 32) | c);
+                    h.finish() & 1023
+                })
+                .collect();
+            assert!(
+                buckets.len() >= 900,
+                "low half {c}: only {} distinct buckets",
+                buckets.len()
+            );
+        }
     }
 
     #[test]

@@ -147,22 +147,23 @@ impl PNode {
 
 /// A derivation discovered by a worker that needs coordinator-owned state
 /// (field-node interning, context merging, call-graph growth). Replayed at
-/// the barrier in (shard index, push order) order.
+/// the barrier in (shard index, push order) order. `obj` is an interned
+/// object id.
 #[derive(Debug, Clone, Copy)]
 enum Pending {
     /// `obj` arrived at a load base: connect `obj.field → to`.
-    Load { field: FieldId, to: PNode, obj: u64 },
+    Load { field: FieldId, to: PNode, obj: u32 },
     /// `obj` arrived at a store base: connect `from → obj.field`.
     Store {
         from: PNode,
         field: FieldId,
-        obj: u64,
+        obj: u32,
     },
     /// `obj` arrived at the receiver of `invoke` under `caller`.
     Call {
         invoke: InvokeId,
         caller: CtxId,
-        obj: u64,
+        obj: u32,
     },
 }
 
@@ -173,10 +174,11 @@ struct ShardState {
     /// The shard's nodes; their derivation counter is this shard's share
     /// of the budget currency and the imbalance metric.
     nodes: NodeTable<PNode>,
-    /// Messages to apply next epoch, pre-ordered by the coordinator.
-    inbox: Vec<(PNode, u64)>,
+    /// Messages (node, object id) to apply next epoch, pre-ordered by the
+    /// coordinator.
+    inbox: Vec<(PNode, u32)>,
     /// Messages for other shards, one queue per destination.
-    outbox: Vec<Vec<(PNode, u64)>>,
+    outbox: Vec<Vec<(PNode, u32)>>,
     /// Derivations needing the coordinator, in discovery order.
     pending: Vec<Pending>,
     /// Worklist pops during the last epoch (deterministic engine metric).
@@ -193,7 +195,7 @@ struct ShardState {
 impl ShardState {
     /// Delivers `obj` to `node`: inserted now when this shard owns it,
     /// queued for the owner's next epoch otherwise.
-    fn deliver(&mut self, me: usize, node: PNode, obj: u64) {
+    fn deliver(&mut self, me: usize, node: PNode, obj: u32) {
         if node.shard() == me {
             self.nodes.add_local(node.idx(), obj);
         } else {
@@ -210,7 +212,7 @@ struct Shards {
     shards: Vec<ShardState>,
     /// Coordinator-originated messages (edge flushes, alloc seeds), routed
     /// after all shard outboxes so application order stays deterministic.
-    coord_outbox: Vec<Vec<(PNode, u64)>>,
+    coord_outbox: Vec<Vec<(PNode, u32)>>,
 }
 
 impl Graph for Shards {
@@ -229,7 +231,7 @@ impl Graph for Shards {
         (&mut self.shards[node.shard()].nodes, node.idx())
     }
 
-    fn add_obj(&mut self, node: PNode, obj: u64) {
+    fn add_obj(&mut self, node: PNode, obj: u32) {
         self.coord_outbox[node.shard()].push((node, obj));
     }
 
@@ -249,11 +251,14 @@ const BUDGETED_EPOCH_CHUNK: u64 = 32_768;
 const POLL_MASK: u64 = 0xFF;
 
 /// One worker epoch: apply the inbox, then drain the local worklist.
+/// `objs` is the coordinator's id → object table, read-only here.
+#[allow(clippy::too_many_arguments)]
 fn run_epoch(
     shard: &mut ShardState,
     me: usize,
     program: &Program,
     hierarchy: &ClassHierarchy,
+    objs: &[CObj],
     cancel: Option<&CancelToken>,
     chunk: u64,
     tele: Option<&Telemetry>,
@@ -293,19 +298,18 @@ fn run_epoch(
         if d.is_empty() {
             continue;
         }
-        let succs = shard.nodes.succ[i].clone();
-        for s in succs {
+        // Workers add no edges, so these lists cannot grow mid-loop.
+        for k in 0..shard.nodes.succ[i].len() {
+            let s = shard.nodes.succ[i][k];
             for &o in &d {
                 shard.deliver(me, s, o);
             }
         }
-        if !shard.nodes.filter_succ[i].is_empty() {
-            let filtered = shard.nodes.filter_succ[i].clone();
-            for (class, s) in filtered {
-                for &o in &d {
-                    if cast_admits(program, hierarchy, o, class) {
-                        shard.deliver(me, s, o);
-                    }
+        for k in 0..shard.nodes.filter_succ[i].len() {
+            let (class, s) = shard.nodes.filter_succ[i][k];
+            for &o in &d {
+                if cast_admits(program, hierarchy, objs, o, class) {
+                    shard.deliver(me, s, o);
                 }
             }
         }
@@ -443,7 +447,7 @@ impl<'p> Engine<'p> {
                     invoke,
                     caller,
                     obj,
-                } => core.process_receiver_call(invoke, caller, CObj(obj))?,
+                } => core.process_receiver_call(invoke, caller, obj)?,
             }
         }
         while let Some((m, c)) = core.inst_queue.pop_front() {
@@ -513,6 +517,7 @@ impl<'p> Engine<'p> {
         };
         let program = self.core.program;
         let hierarchy = self.core.hierarchy;
+        let objs = &self.core.objs;
         let cancel = config.cancel.clone();
         let tele = config.telemetry.as_deref();
         let span = tele.map(|t| {
@@ -524,7 +529,16 @@ impl<'p> Engine<'p> {
             for (i, shard) in self.core.graph.shards.iter_mut().enumerate() {
                 let cancel = cancel.clone();
                 scope.spawn(move || {
-                    run_epoch(shard, i, program, hierarchy, cancel.as_ref(), chunk, tele);
+                    run_epoch(
+                        shard,
+                        i,
+                        program,
+                        hierarchy,
+                        objs,
+                        cancel.as_ref(),
+                        chunk,
+                        tele,
+                    );
                 });
             }
         });

@@ -34,7 +34,7 @@ use rudoop_ir::{
     MethodId, Program, VarId,
 };
 
-use crate::bitset::IdBitSet;
+use crate::bitset::{IdBitSet, ObjSet};
 use crate::context::{CObj, CtxId, CtxTables, HCtxId};
 use crate::cutshortcut::ParamCut;
 use crate::hash::{FxHashMap, FxHashSet};
@@ -59,11 +59,13 @@ pub(crate) enum NodeKind {
 /// The per-node tables of one propagation graph (the sequential solver's
 /// whole graph, or one shard of the sharded engine), with its semi-naive
 /// worklist. `N` is the engine's node id, which successor lists name.
+/// Points-to sets and deltas hold interned object ids (see
+/// [`Core::intern_obj`]).
 #[derive(Debug)]
 pub(crate) struct NodeTable<N> {
     pub(crate) kinds: Vec<NodeKind>,
-    pub(crate) pts: Vec<FxHashSet<u64>>,
-    pub(crate) delta: Vec<Vec<u64>>,
+    pub(crate) pts: Vec<ObjSet>,
+    pub(crate) delta: Vec<Vec<u32>>,
     pub(crate) succ: Vec<Vec<N>>,
     /// Cast-filtered copy edges: only objects conforming to the class pass.
     pub(crate) filter_succ: Vec<Vec<(ClassId, N)>>,
@@ -102,7 +104,7 @@ impl<N> NodeTable<N> {
     pub(crate) fn push(&mut self, kind: NodeKind, ctx: CtxId) -> u32 {
         let idx = self.kinds.len() as u32;
         self.kinds.push(kind);
-        self.pts.push(FxHashSet::default());
+        self.pts.push(ObjSet::default());
         self.delta.push(Vec::new());
         self.succ.push(Vec::new());
         self.filter_succ.push(Vec::new());
@@ -116,7 +118,7 @@ impl<N> NodeTable<N> {
 
     /// Inserts `obj` into node `idx`'s points-to set; on a new tuple,
     /// counts it and schedules semi-naive follow-up.
-    pub(crate) fn add_local(&mut self, idx: usize, obj: u64) {
+    pub(crate) fn add_local(&mut self, idx: usize, obj: u32) {
         if self.pts[idx].insert(obj) {
             self.derivations += 1;
             self.delta[idx].push(obj);
@@ -140,14 +142,16 @@ impl<N> NodeTable<N> {
     }
 }
 
-/// Whether `obj` passes a cast to `class` (Doop's assign-cast filtering).
+/// Whether object `obj` (an id into `objs`) passes a cast to `class`
+/// (Doop's assign-cast filtering).
 pub(crate) fn cast_admits(
     program: &Program,
     hierarchy: &ClassHierarchy,
-    obj: u64,
+    objs: &[CObj],
+    obj: u32,
     class: ClassId,
 ) -> bool {
-    hierarchy.is_subtype(program.allocs[CObj(obj).heap()].class, class)
+    hierarchy.is_subtype(program.allocs[objs[obj as usize].heap()].class, class)
 }
 
 /// The engine seam: node placement and tuple insertion.
@@ -161,17 +165,17 @@ pub(crate) trait Graph {
     /// The table holding `node`, and `node`'s index in it.
     fn slot(&mut self, node: Self::Node) -> (&mut NodeTable<Self::Node>, usize);
 
-    /// Inserts a points-to tuple derived by a rule.
-    fn add_obj(&mut self, node: Self::Node, obj: u64);
+    /// Inserts a points-to tuple (an interned object id) derived by a rule.
+    fn add_obj(&mut self, node: Self::Node, obj: u32);
 
     /// Every node table, in a fixed order.
     fn tables(&self) -> impl Iterator<Item = &NodeTable<Self::Node>>;
 }
 
-/// The objects currently at a node, copied out so rules can keep
-/// deriving while they walk them.
-fn snapshot<N>(table: &NodeTable<N>, idx: usize) -> Vec<u64> {
-    table.pts[idx].iter().copied().collect()
+/// The objects currently at a node, in increasing id order, copied out so
+/// rules can keep deriving while they walk them.
+fn snapshot<N>(table: &NodeTable<N>, idx: usize) -> Vec<u32> {
+    table.pts[idx].iter().collect()
 }
 
 /// Engine-independent solver state and the rules over it.
@@ -182,8 +186,13 @@ pub(crate) struct Core<'p, G: Graph> {
     pub(crate) config: SolverConfig,
     pub(crate) tables: CtxTables,
     pub(crate) graph: G,
+    /// Every context-qualified object, indexed by its interned id: points-to
+    /// sets, deltas and engine messages carry the id.
+    pub(crate) objs: Vec<CObj>,
+    obj_ids: FxHashMap<u64, u32>,
     var_nodes: FxHashMap<u64, G::Node>,
-    field_nodes: FxHashMap<(u64, u32), G::Node>,
+    /// Keyed by `obj_id << 32 | field`.
+    field_nodes: FxHashMap<u64, G::Node>,
     global_nodes: FxHashMap<u32, G::Node>,
     edge_set: FxHashSet<(G::Node, G::Node)>,
     reachable: FxHashSet<u64>,
@@ -220,6 +229,8 @@ impl<'p, G: Graph> Core<'p, G> {
             config,
             tables,
             graph,
+            objs: Vec::new(),
+            obj_ids: FxHashMap::default(),
             var_nodes: FxHashMap::default(),
             field_nodes: FxHashMap::default(),
             global_nodes: FxHashMap::default(),
@@ -257,12 +268,25 @@ impl<'p, G: Graph> Core<'p, G> {
         Ok(n)
     }
 
-    fn field_node(&mut self, obj: CObj, field: FieldId) -> Result<G::Node, SolverError> {
-        let key = (obj.0, field.0);
+    /// The id of `obj`, interned on first sight. Objects are created only
+    /// by the `Alloc` instruction and the `AllocToRet` summary atom; every
+    /// other rule moves ids.
+    fn intern_obj(&mut self, obj: CObj) -> u32 {
+        let next = self.objs.len() as u32;
+        let id = *self.obj_ids.entry(obj.0).or_insert(next);
+        if id == next {
+            self.objs.push(obj);
+        }
+        id
+    }
+
+    fn field_node(&mut self, obj: u32, field: FieldId) -> Result<G::Node, SolverError> {
+        let key = (u64::from(obj) << 32) | u64::from(field.0);
         if let Some(&n) = self.field_nodes.get(&key) {
             return Ok(n);
         }
-        let n = self.new_node(NodeKind::Field(obj, field), CtxId::EMPTY)?;
+        let kind = NodeKind::Field(self.objs[obj as usize], field);
+        let n = self.new_node(kind, CtxId::EMPTY)?;
         self.field_nodes.insert(key, n);
         Ok(n)
     }
@@ -300,7 +324,7 @@ impl<'p, G: Graph> Core<'p, G> {
         table.filter_succ[i].push((class, to));
         if !table.pts[i].is_empty() {
             for o in snapshot(table, i) {
-                if cast_admits(self.program, self.hierarchy, o, class) {
+                if cast_admits(self.program, self.hierarchy, &self.objs, o, class) {
                     self.graph.add_obj(to, o);
                 }
             }
@@ -312,9 +336,9 @@ impl<'p, G: Graph> Core<'p, G> {
         &mut self,
         field: FieldId,
         to: G::Node,
-        obj: u64,
+        obj: u32,
     ) -> Result<(), SolverError> {
-        let fnode = self.field_node(CObj(obj), field)?;
+        let fnode = self.field_node(obj, field)?;
         self.add_edge(fnode, to);
         Ok(())
     }
@@ -324,9 +348,9 @@ impl<'p, G: Graph> Core<'p, G> {
         &mut self,
         from: G::Node,
         field: FieldId,
-        obj: u64,
+        obj: u32,
     ) -> Result<(), SolverError> {
-        let fnode = self.field_node(CObj(obj), field)?;
+        let fnode = self.field_node(obj, field)?;
         self.add_edge(from, fnode);
         Ok(())
     }
@@ -507,7 +531,8 @@ impl<'p, G: Graph> Core<'p, G> {
                     }
                 }
                 SummaryAtom::AllocToRet(h) => {
-                    self.graph.add_obj(to, CObj::new(h, HCtxId::EMPTY).0);
+                    let obj = self.intern_obj(CObj::new(h, HCtxId::EMPTY));
+                    self.graph.add_obj(to, obj);
                 }
                 SummaryAtom::GlobalToRet(g) => {
                     let from = self.global_node(g)?;
@@ -518,14 +543,15 @@ impl<'p, G: Graph> Core<'p, G> {
         Ok(())
     }
 
-    /// The VCALL rule: one receiver object arriving at the base variable of
-    /// a virtual or special call.
+    /// The VCALL rule: one receiver object (an interned id) arriving at the
+    /// base variable of a virtual or special call.
     pub(crate) fn process_receiver_call(
         &mut self,
         invoke: InvokeId,
         caller: CtxId,
-        obj: CObj,
+        id: u32,
     ) -> Result<(), SolverError> {
+        let obj = self.objs[id as usize];
         let target = match self.program.invokes[invoke].kind {
             InvokeKind::Virtual { sig, .. } => {
                 let class = self.program.allocs[obj.heap()].class;
@@ -552,7 +578,7 @@ impl<'p, G: Graph> Core<'p, G> {
         );
         if let Some(this) = self.program.methods[target].this {
             let tnode = self.var_node(this, callee)?;
-            self.graph.add_obj(tnode, obj.0);
+            self.graph.add_obj(tnode, id);
         }
         self.add_call_edge(invoke, caller, target, callee)
     }
@@ -566,7 +592,8 @@ impl<'p, G: Graph> Core<'p, G> {
                 Instruction::Alloc { var, alloc } => {
                     let hctx = self.policy.record(&mut self.tables, alloc, ctx);
                     let node = self.var_node(var, ctx)?;
-                    self.graph.add_obj(node, CObj::new(alloc, hctx).0);
+                    let obj = self.intern_obj(CObj::new(alloc, hctx));
+                    self.graph.add_obj(node, obj);
                 }
                 Instruction::Move { to, from } => {
                     let f = self.var_node(from, ctx)?;
@@ -619,7 +646,7 @@ impl<'p, G: Graph> Core<'p, G> {
                             let (table, i) = self.graph.slot(b);
                             table.calls[i].push(invoke);
                             for o in snapshot(table, i) {
-                                self.process_receiver_call(invoke, ctx, CObj(o))?;
+                                self.process_receiver_call(invoke, ctx, o)?;
                             }
                         }
                         InvokeKind::Static { target } => {
@@ -703,65 +730,65 @@ impl<'p, G: Graph> Core<'p, G> {
     pub(crate) fn finish(self) -> PointsToResult {
         let duration = self.start.elapsed();
 
-        let mut var_pts: IdxVec<VarId, Vec<AllocId>> =
-            (0..self.program.vars.len()).map(|_| Vec::new()).collect();
-        let mut field_pts: FxHashMap<(AllocId, FieldId), Vec<AllocId>> = FxHashMap::default();
-        let mut global_pts: FxHashMap<GlobalId, Vec<AllocId>> = FxHashMap::default();
+        // Every node's set, keyed by the projected relation it feeds.
+        let mut var_sets: Vec<(VarId, &ObjSet)> = Vec::new();
+        let mut field_sets: Vec<((AllocId, FieldId), &ObjSet)> = Vec::new();
+        let mut global_sets: Vec<(GlobalId, &ObjSet)> = Vec::new();
         let mut cs_var = 0u64;
         let mut cs_field = 0u64;
-        let mut dump = self.config.record_contexts.then(CsDump::default);
-
         for table in self.graph.tables() {
             for (kind, pts) in table.kinds.iter().zip(&table.pts) {
                 match *kind {
-                    NodeKind::Var(v, ctx) => {
+                    NodeKind::Var(v, _) => {
                         cs_var += pts.len() as u64;
-                        let set = &mut var_pts[v];
-                        for &o in pts {
-                            let obj = CObj(o);
-                            set.push(obj.heap());
-                            if let Some(d) = dump.as_mut() {
-                                d.var_points_to.push((v, ctx, obj.heap(), obj.hctx()));
-                            }
-                        }
-                    }
-                    NodeKind::Global(global) => {
-                        let set = global_pts.entry(global).or_default();
-                        for &o in pts {
-                            set.push(CObj(o).heap());
-                        }
+                        var_sets.push((v, pts));
                     }
                     NodeKind::Field(base, field) => {
                         cs_field += pts.len() as u64;
-                        let set = field_pts.entry((base.heap(), field)).or_default();
-                        for &o in pts {
-                            let obj = CObj(o);
-                            set.push(obj.heap());
-                            if let Some(d) = dump.as_mut() {
-                                d.field_points_to.push((
-                                    base.heap(),
-                                    base.hctx(),
-                                    field,
-                                    obj.heap(),
-                                    obj.hctx(),
-                                ));
+                        field_sets.push(((base.heap(), field), pts));
+                    }
+                    NodeKind::Global(global) => global_sets.push((global, pts)),
+                }
+            }
+        }
+        let mut projection = Projection {
+            heap_of: self.objs.iter().map(|o| o.heap()).collect(),
+            seen: vec![0; self.program.allocs.len()],
+            stamp: 0,
+        };
+        let mut var_pts: IdxVec<VarId, Vec<AllocId>> =
+            (0..self.program.vars.len()).map(|_| Vec::new()).collect();
+        projection.union_by_key(var_sets, |v, set| var_pts[v] = set);
+        let mut field_pts: FxHashMap<(AllocId, FieldId), Vec<AllocId>> = FxHashMap::default();
+        projection.union_by_key(field_sets, |key, set| {
+            field_pts.insert(key, set);
+        });
+        let mut global_pts: FxHashMap<GlobalId, Vec<AllocId>> = FxHashMap::default();
+        projection.union_by_key(global_sets, |global, set| {
+            global_pts.insert(global, set);
+        });
+
+        let mut dump = self.config.record_contexts.then(CsDump::default);
+        if let Some(d) = dump.as_mut() {
+            for table in self.graph.tables() {
+                for (kind, pts) in table.kinds.iter().zip(&table.pts) {
+                    for obj in pts.iter().map(|o| self.objs[o as usize]) {
+                        match *kind {
+                            NodeKind::Var(v, ctx) => {
+                                d.var_points_to.push((v, ctx, obj.heap(), obj.hctx()))
                             }
+                            NodeKind::Field(base, field) => d.field_points_to.push((
+                                base.heap(),
+                                base.hctx(),
+                                field,
+                                obj.heap(),
+                                obj.hctx(),
+                            )),
+                            NodeKind::Global(_) => {}
                         }
                     }
                 }
             }
-        }
-        for set in var_pts.values_mut() {
-            set.sort_unstable();
-            set.dedup();
-        }
-        for set in field_pts.values_mut() {
-            set.sort_unstable();
-            set.dedup();
-        }
-        for set in global_pts.values_mut() {
-            set.sort_unstable();
-            set.dedup();
         }
 
         let mut call_targets: FxHashMap<InvokeId, Vec<MethodId>> = FxHashMap::default();
@@ -819,6 +846,46 @@ impl<'p, G: Graph> Core<'p, G> {
             cs_dump: dump,
             shard_work: None,
             epoch_shard_work: None,
+        }
+    }
+}
+
+/// The context-collapsing projection of points-to sets onto allocation
+/// sites. Each output set is deduplicated on insert: an allocation site
+/// is pushed only when `seen` does not yet carry the current key's stamp,
+/// so only distinct sites are pushed and sorted.
+struct Projection {
+    /// Allocation site of each interned object.
+    heap_of: Vec<AllocId>,
+    /// Per allocation site, the stamp of the last key that took it.
+    seen: Vec<u32>,
+    stamp: u32,
+}
+
+impl Projection {
+    /// Unions the sets of each distinct key in `sets`, handing every key
+    /// its sorted allocation sites once.
+    fn union_by_key<K: Copy + Ord>(
+        &mut self,
+        mut sets: Vec<(K, &ObjSet)>,
+        mut emit: impl FnMut(K, Vec<AllocId>),
+    ) {
+        sets.sort_unstable_by_key(|&(key, _)| key);
+        for run in sets.chunk_by(|a, b| a.0 == b.0) {
+            self.stamp += 1;
+            let mut out = Vec::new();
+            for (_, pts) in run {
+                for o in pts.iter() {
+                    let heap = self.heap_of[o as usize];
+                    let seen = &mut self.seen[heap.0 as usize];
+                    if *seen != self.stamp {
+                        *seen = self.stamp;
+                        out.push(heap);
+                    }
+                }
+            }
+            out.sort_unstable();
+            emit(run[0].0, out);
         }
     }
 }

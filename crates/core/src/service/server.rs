@@ -18,6 +18,7 @@
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError, TryRecvError};
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
@@ -224,33 +225,47 @@ fn poll_read_full(
 /// Watches a connection for client disconnect while a query runs, and
 /// cancels the request token when the peer goes away. Uses `peek` so
 /// pipelined follow-up frames are left in the socket for the main loop.
+///
+/// Dropping the monitor drops `stop`, which wakes the thread's wait at
+/// once, and joins the thread. A thread blocked in `peek` returns as soon
+/// as the client's next frame arrives, so in a closed loop the handler
+/// reads that frame without first waiting out a 50 ms poll.
 struct DisconnectMonitor {
-    stop: Arc<AtomicBool>,
+    stop: Option<mpsc::Sender<()>>,
     thread: Option<thread::JoinHandle<()>>,
 }
 
 impl DisconnectMonitor {
     fn watch(stream: &TcpStream, token: CancelToken) -> Option<DisconnectMonitor> {
+        const POLL: Duration = Duration::from_millis(50);
         let peek = stream.try_clone().ok()?;
-        peek.set_read_timeout(Some(Duration::from_millis(50)))
-            .ok()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = Arc::clone(&stop);
+        peek.set_read_timeout(Some(POLL)).ok()?;
+        let (stop, stopped) = mpsc::channel::<()>();
         let thread = thread::spawn(move || {
             let mut byte = [0u8; 1];
-            while !stop2.load(Ordering::SeqCst) {
+            loop {
                 match peek.peek(&mut byte) {
                     // EOF: the client hung up — cancel the request.
                     Ok(0) => {
                         token.cancel();
                         return;
                     }
-                    // Pipelined data waiting: the client is alive. Sleep
-                    // instead of spinning on the instantly-ready peek.
-                    Ok(_) => thread::sleep(Duration::from_millis(50)),
+                    // Pipelined data waiting: the client is alive. Wait
+                    // for `stop` instead of spinning on the instantly-ready
+                    // peek.
+                    Ok(_) => {
+                        if stopped.recv_timeout(POLL) != Err(RecvTimeoutError::Timeout) {
+                            return;
+                        }
+                    }
                     Err(e)
                         if e.kind() == std::io::ErrorKind::WouldBlock
-                            || e.kind() == std::io::ErrorKind::TimedOut => {}
+                            || e.kind() == std::io::ErrorKind::TimedOut =>
+                    {
+                        if stopped.try_recv() != Err(TryRecvError::Empty) {
+                            return;
+                        }
+                    }
                     // Any hard error counts as a disconnect.
                     Err(_) => {
                         token.cancel();
@@ -260,7 +275,7 @@ impl DisconnectMonitor {
             }
         });
         Some(DisconnectMonitor {
-            stop,
+            stop: Some(stop),
             thread: Some(thread),
         })
     }
@@ -268,7 +283,7 @@ impl DisconnectMonitor {
 
 impl Drop for DisconnectMonitor {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
+        drop(self.stop.take());
         if let Some(thread) = self.thread.take() {
             let _ = thread.join();
         }

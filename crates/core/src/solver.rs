@@ -36,7 +36,7 @@ use rudoop_ir::{
 };
 
 use crate::bitset::IdBitSet;
-use crate::context::{CObj, CtxId, CtxTables, HCtxId};
+use crate::context::{CtxId, CtxTables, HCtxId};
 use crate::hash::FxHashMap;
 use crate::policy::ContextPolicy;
 use crate::rules::{cast_admits, Core, Graph, NodeKind, NodeTable};
@@ -501,7 +501,7 @@ impl Graph for NodeTable<NodeId> {
         (self, node.0 as usize)
     }
 
-    fn add_obj(&mut self, node: NodeId, obj: u64) {
+    fn add_obj(&mut self, node: NodeId, obj: u32) {
         self.add_local(node.0 as usize, obj);
     }
 
@@ -639,41 +639,40 @@ impl Solver<'_> {
             if d.is_empty() {
                 continue;
             }
-            let succs = core.graph.succ[i].clone();
-            for s in succs {
+            // Each rule list is walked by index up to its length before its
+            // loop: entries a setter/getter cut appends mid-loop already
+            // applied themselves to the node's current objects.
+            for k in 0..core.graph.succ[i].len() {
+                let s = core.graph.succ[i][k];
                 for &o in &d {
                     core.graph.add_local(s.0 as usize, o);
                 }
             }
-            if !core.graph.filter_succ[i].is_empty() {
-                let filtered = core.graph.filter_succ[i].clone();
-                for (class, s) in filtered {
-                    for &o in &d {
-                        if cast_admits(core.program, core.hierarchy, o, class) {
-                            core.graph.add_local(s.0 as usize, o);
-                        }
+            for k in 0..core.graph.filter_succ[i].len() {
+                let (class, s) = core.graph.filter_succ[i][k];
+                for &o in &d {
+                    if cast_admits(core.program, core.hierarchy, &core.objs, o, class) {
+                        core.graph.add_local(s.0 as usize, o);
                     }
                 }
             }
-            let loads = core.graph.loads[i].clone();
-            for (field, to) in loads {
+            for k in 0..core.graph.loads[i].len() {
+                let (field, to) = core.graph.loads[i][k];
                 for &o in &d {
                     core.load_obj(field, to, o)?;
                 }
             }
-            let stores = core.graph.stores[i].clone();
-            for (field, from) in stores {
+            for k in 0..core.graph.stores[i].len() {
+                let (field, from) = core.graph.stores[i][k];
                 for &o in &d {
                     core.store_obj(from, field, o)?;
                 }
             }
-            let calls = core.graph.calls[i].clone();
-            if !calls.is_empty() {
-                let caller = core.graph.node_ctx[i];
-                for invoke in calls {
-                    for &o in &d {
-                        core.process_receiver_call(invoke, caller, CObj(o))?;
-                    }
+            let caller = core.graph.node_ctx[i];
+            for k in 0..core.graph.calls[i].len() {
+                let invoke = core.graph.calls[i][k];
+                for &o in &d {
+                    core.process_receiver_call(invoke, caller, o)?;
                 }
             }
         }

@@ -14,6 +14,8 @@
 //!   uncontended one,
 //! - garbage and truncated response frames are retried by the client,
 //! - client disconnect cancels the in-flight analysis,
+//! - back-to-back requests on one connection never wait on the previous
+//!   request's disconnect monitor,
 //! - tight budgets degrade down the ladder with the 0/3/4 contract.
 
 use std::io::Write as _;
@@ -327,6 +329,35 @@ fn client_disconnect_cancels_the_inflight_request() {
     // The worker slot came back: a fresh query is admitted and served.
     let response = send_once(&addr, &quick_stats()).expect("slot was released");
     assert_eq!(expect_doc(response).0, "complete");
+    handle.stop();
+}
+
+/// A closed loop on one connection: each request is sent as soon as the
+/// previous response arrives. Joining the previous request's disconnect
+/// monitor would cost one 50 ms poll per request (at least 1 s here); the
+/// detached monitor costs nothing.
+#[test]
+fn back_to_back_requests_do_not_wait_on_the_disconnect_monitor() {
+    let program = rudoop_ir::parse_program("class Object\nmethod Object.main() static {\n}\n")
+        .expect("parse");
+    let state = Arc::new(ServiceState::new(program, ServiceConfig::default()));
+    let server = Server::bind(Arc::clone(&state), "127.0.0.1:0").expect("bind loopback");
+    let handle = server.spawn().expect("spawn server thread");
+    let mut stream = TcpStream::connect(handle.addr()).expect("connect");
+    // A frame is two writes; without this, Nagle's algorithm holds the
+    // second one for the server's delayed ACK.
+    stream.set_nodelay(true).unwrap();
+    let start = Instant::now();
+    for _ in 0..20 {
+        protocol::write_frame(&mut stream, quick_stats().render().as_bytes()).unwrap();
+        let payload = protocol::read_frame(&mut stream, MAX_RESPONSE_FRAME).unwrap();
+        assert_eq!(expect_doc(Response::parse(&payload).unwrap()).0, "complete");
+    }
+    let elapsed = start.elapsed();
+    assert!(
+        elapsed < Duration::from_secs(1),
+        "20 back-to-back requests took {elapsed:?}"
+    );
     handle.stop();
 }
 
