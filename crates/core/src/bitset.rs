@@ -121,11 +121,8 @@ impl ObjSet {
                     true
                 }
                 Err(_) => {
-                    let top = ids.last().map_or(id, |&last| last.max(id));
-                    let mut words = vec![0u64; top as usize / 64 + 1];
-                    for &i in ids.iter().chain([&id]) {
-                        words[i as usize / 64] |= 1 << (i % 64);
-                    }
+                    let mut words = dense_words(ids, id as usize / 64 + 1);
+                    words[id as usize / 64] |= 1 << (id % 64);
                     *self = ObjSet::Dense {
                         words,
                         len: SMALL_MAX + 1,
@@ -145,6 +142,73 @@ impl ObjSet {
                 words[w] |= mask;
                 *len += 1;
                 true
+            }
+        }
+    }
+
+    /// Inserts every id of `src`, appending the new ones to `delta` in
+    /// increasing order; returns how many were new. The result, `delta`
+    /// included, is exactly that of `insert`ing `src`'s ids one by one in
+    /// increasing order, but a dense `src` is merged a word at a time
+    /// (`new = src & !self`), never touching ids `self` already holds.
+    pub(crate) fn union_sorted(&mut self, src: &ObjSet, delta: &mut Vec<u32>) -> usize {
+        let before = delta.len();
+        let ObjSet::Dense { words: from, .. } = src else {
+            for id in src.iter() {
+                if self.insert(id) {
+                    delta.push(id);
+                }
+            }
+            return delta.len() - before;
+        };
+        // A dense `src` holds more than `SMALL_MAX` ids, so the union is
+        // dense too: promote a small `self` up front.
+        if let ObjSet::Small(ids) = self {
+            let len = ids.len();
+            *self = ObjSet::Dense {
+                words: dense_words(ids, from.len()),
+                len,
+            };
+        }
+        let ObjSet::Dense { words, len } = self else {
+            unreachable!("promoted above")
+        };
+        if words.len() < from.len() {
+            words.resize(from.len(), 0);
+        }
+        for (wi, (w, &s)) in words.iter_mut().zip(from).enumerate() {
+            let mut new = s & !*w;
+            *w |= new;
+            while new != 0 {
+                delta.push((wi * 64) as u32 + new.trailing_zeros());
+                new &= new - 1;
+            }
+        }
+        let added = delta.len() - before;
+        *len += added;
+        added
+    }
+
+    /// Whether the set holds every id of `mask`, a bitmask whose word `k`
+    /// covers ids `64 * (lo + k) ..`.
+    pub(crate) fn covers_mask(&self, lo: usize, mask: &[u64]) -> bool {
+        match self {
+            ObjSet::Dense { words, .. } => mask
+                .iter()
+                .enumerate()
+                .all(|(k, &m)| m & !words.get(lo + k).copied().unwrap_or(0) == 0),
+            ObjSet::Small(ids) => {
+                // Ids are distinct: the set covers the mask iff as many of
+                // them fall inside it as it has bits.
+                let bits: usize = mask.iter().map(|m| m.count_ones() as usize).sum();
+                let inside = ids
+                    .iter()
+                    .filter(|&&id| {
+                        let w = (id as usize / 64).wrapping_sub(lo);
+                        mask.get(w).is_some_and(|m| m & (1 << (id % 64)) != 0)
+                    })
+                    .count();
+                inside == bits
             }
         }
     }
@@ -175,6 +239,17 @@ impl ObjSet {
             },
         }
     }
+}
+
+/// The bitset words of the sorted ids `ids`: at least `min_words` of
+/// them, and enough for the largest id.
+fn dense_words(ids: &[u32], min_words: usize) -> Vec<u64> {
+    let top = ids.last().map_or(0, |&last| last as usize / 64 + 1);
+    let mut words = vec![0u64; top.max(min_words)];
+    for &i in ids {
+        words[i as usize / 64] |= 1 << (i % 64);
+    }
+    words
 }
 
 /// Iterator over an [`ObjSet`], in increasing id order.
@@ -277,6 +352,85 @@ mod tests {
             }
             let promoted = matches!(set, ObjSet::Dense { .. });
             assert_eq!(promoted, model.len() > SMALL_MAX, "seed {seed}");
+        }
+    }
+
+    /// A seeded set over `domain` ids of the given size, built by
+    /// `insert` (so small or dense exactly as the solver would hold it).
+    fn random_set(rng: &mut SplitMix64, domain: usize, size: usize) -> ObjSet {
+        let mut set = ObjSet::default();
+        for _ in 0..size {
+            set.insert(rng.below(domain) as u32);
+        }
+        set
+    }
+
+    /// `union_sorted` against the per-id reference loop, small and dense
+    /// on both sides, over domains that cross word boundaries: the same
+    /// new ids in the same order, the same `len`, members and form.
+    #[test]
+    fn union_sorted_matches_the_per_id_loop() {
+        let mut forms = BTreeSet::new();
+        for seed in 0..256u64 {
+            let mut rng = SplitMix64::new(seed);
+            let domain = [40, 64, 65, 130, 700, 5000][seed as usize % 6];
+            let sizes = [0, 5, SMALL_MAX, 3 * SMALL_MAX];
+            let dst_size = sizes[rng.below(sizes.len())];
+            let src_size = sizes[rng.below(sizes.len())];
+            let mut dst = random_set(&mut rng, domain, dst_size);
+            let src = random_set(&mut rng, domain, src_size);
+            let mut want = dst.clone();
+            let mut want_delta = vec![7u32];
+            for o in src.iter() {
+                if want.insert(o) {
+                    want_delta.push(o);
+                }
+            }
+            let dense = |s: &ObjSet| matches!(s, ObjSet::Dense { .. });
+            forms.insert((dense(&dst), dense(&src)));
+            let mut delta = vec![7u32];
+            let added = dst.union_sorted(&src, &mut delta);
+            assert_eq!(delta, want_delta, "seed {seed}");
+            assert_eq!(added, want_delta.len() - 1, "seed {seed}");
+            assert_eq!(dst.len(), want.len(), "seed {seed}");
+            assert!(dst.iter().eq(want.iter()), "seed {seed}");
+            assert_eq!(dense(&dst), dense(&want), "seed {seed}");
+            assert_eq!(dense(&dst), dst.len() > SMALL_MAX, "seed {seed}");
+        }
+        assert_eq!(forms.len(), 4, "every small/dense pairing is covered");
+    }
+
+    /// `covers_mask` against a `BTreeSet` subset check, for masks at
+    /// several word offsets over small and dense sets.
+    #[test]
+    fn covers_mask_is_a_subset_test() {
+        for seed in 0..256u64 {
+            let mut rng = SplitMix64::new(seed);
+            let domain = [40, 130, 700, 5000][seed as usize % 4];
+            let size = [3, SMALL_MAX, 4 * SMALL_MAX][rng.below(3)];
+            let set = random_set(&mut rng, domain, size);
+            let members: BTreeSet<u32> = set.iter().collect();
+            // Half the probes are drawn from the set itself, so both
+            // answers occur.
+            let probe: BTreeSet<u32> = (0..rng.below(6) + 1)
+                .map(
+                    |_| match members.iter().nth(rng.below(members.len().max(1))) {
+                        Some(&m) if rng.below(2) == 0 => m,
+                        _ => rng.below(domain + 130) as u32,
+                    },
+                )
+                .collect();
+            let lo = *probe.first().unwrap() as usize / 64;
+            let hi = *probe.last().unwrap() as usize / 64;
+            let mut mask = vec![0u64; hi - lo + 1];
+            for &o in &probe {
+                mask[o as usize / 64 - lo] |= 1 << (o % 64);
+            }
+            assert_eq!(
+                set.covers_mask(lo, &mask),
+                probe.is_subset(&members),
+                "seed {seed} probe {probe:?}"
+            );
         }
     }
 

@@ -120,12 +120,31 @@ impl<N> NodeTable<N> {
     /// counts it and schedules semi-naive follow-up.
     pub(crate) fn add_local(&mut self, idx: usize, obj: u32) {
         if self.pts[idx].insert(obj) {
-            self.derivations += 1;
             self.delta[idx].push(obj);
-            if !self.in_worklist[idx] {
-                self.in_worklist[idx] = true;
-                self.worklist.push_back(idx as u32);
-            }
+            self.schedule(idx, 1);
+        }
+    }
+
+    /// Inserts every object of node `from` into node `to` (`from != to`):
+    /// the same tuples, delta order, count and worklist push as
+    /// [`Self::add_local`] per object in increasing id order, but merged a
+    /// word at a time where both sets are dense.
+    pub(crate) fn add_sorted(&mut self, from: usize, to: usize) {
+        let src = std::mem::take(&mut self.pts[from]);
+        let added = self.pts[to].union_sorted(&src, &mut self.delta[to]);
+        self.pts[from] = src;
+        if added > 0 {
+            self.schedule(to, added);
+        }
+    }
+
+    /// Counts `added` new tuples at node `idx` and queues it for its
+    /// semi-naive follow-up.
+    fn schedule(&mut self, idx: usize, added: usize) {
+        self.derivations += added as u64;
+        if !self.in_worklist[idx] {
+            self.in_worklist[idx] = true;
+            self.worklist.push_back(idx as u32);
         }
     }
 
@@ -167,6 +186,15 @@ pub(crate) trait Graph {
 
     /// Inserts a points-to tuple (an interned object id) derived by a rule.
     fn add_obj(&mut self, node: Self::Node, obj: u32);
+
+    /// Inserts every object at `from` into `to` (`from != to`), as
+    /// [`Self::add_obj`] of each in increasing id order does.
+    fn copy_set(&mut self, from: Self::Node, to: Self::Node) {
+        let (table, i) = self.slot(from);
+        for o in snapshot(table, i) {
+            self.add_obj(to, o);
+        }
+    }
 
     /// Every node table, in a fixed order.
     fn tables(&self) -> impl Iterator<Item = &NodeTable<Self::Node>>;
@@ -311,9 +339,7 @@ impl<'p, G: Graph> Core<'p, G> {
         let (table, i) = self.graph.slot(from);
         table.succ[i].push(to);
         if !table.pts[i].is_empty() {
-            for o in snapshot(table, i) {
-                self.graph.add_obj(to, o);
-            }
+            self.graph.copy_set(from, to);
         }
     }
 
@@ -755,6 +781,7 @@ impl<'p, G: Graph> Core<'p, G> {
             heap_of: self.objs.iter().map(|o| o.heap()).collect(),
             seen: vec![0; self.program.allocs.len()],
             stamp: 0,
+            acc: Vec::new(),
         };
         let mut var_pts: IdxVec<VarId, Vec<AllocId>> =
             (0..self.program.vars.len()).map(|_| Vec::new()).collect();
@@ -851,15 +878,20 @@ impl<'p, G: Graph> Core<'p, G> {
 }
 
 /// The context-collapsing projection of points-to sets onto allocation
-/// sites. Each output set is deduplicated on insert: an allocation site
-/// is pushed only when `seen` does not yet carry the current key's stamp,
-/// so only distinct sites are pushed and sorted.
+/// sites. When a key has several dense sets (one per context), they are
+/// first ORed into `acc`, so an object the contexts share is looked up
+/// once. Each output set is deduplicated on insert: an allocation site is
+/// pushed only when `seen` does not yet carry the current key's stamp, so
+/// only distinct sites are pushed and sorted.
 struct Projection {
     /// Allocation site of each interned object.
     heap_of: Vec<AllocId>,
     /// Per allocation site, the stamp of the last key that took it.
     seen: Vec<u32>,
     stamp: u32,
+    /// The union of the current key's dense sets, as object-id bitset
+    /// words; all zero between keys.
+    acc: Vec<u64>,
 }
 
 impl Projection {
@@ -874,18 +906,41 @@ impl Projection {
         for run in sets.chunk_by(|a, b| a.0 == b.0) {
             self.stamp += 1;
             let mut out = Vec::new();
+            let mut top = 0;
             for (_, pts) in run {
-                for o in pts.iter() {
-                    let heap = self.heap_of[o as usize];
-                    let seen = &mut self.seen[heap.0 as usize];
-                    if *seen != self.stamp {
-                        *seen = self.stamp;
-                        out.push(heap);
+                match pts {
+                    ObjSet::Dense { words, .. } if run.len() > 1 => {
+                        if self.acc.len() < words.len() {
+                            self.acc.resize(words.len(), 0);
+                        }
+                        for (a, &w) in self.acc.iter_mut().zip(words) {
+                            *a |= w;
+                        }
+                        top = top.max(words.len());
                     }
+                    _ => pts.iter().for_each(|o| self.take(o, &mut out)),
+                }
+            }
+            for wi in 0..top {
+                let mut bits = std::mem::take(&mut self.acc[wi]);
+                while bits != 0 {
+                    self.take((wi * 64) as u32 + bits.trailing_zeros(), &mut out);
+                    bits &= bits - 1;
                 }
             }
             out.sort_unstable();
             emit(run[0].0, out);
+        }
+    }
+
+    /// Pushes the allocation site of object `o` unless the current key
+    /// already took it.
+    fn take(&mut self, o: u32, out: &mut Vec<AllocId>) {
+        let heap = self.heap_of[o as usize];
+        let seen = &mut self.seen[heap.0 as usize];
+        if *seen != self.stamp {
+            *seen = self.stamp;
+            out.push(heap);
         }
     }
 }

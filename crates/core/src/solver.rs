@@ -338,9 +338,12 @@ pub struct SolverStats {
 
 /// Deterministic per-entity cost constants of the solver's memory model.
 /// A node owns slots in nine parallel arrays plus hash-table entries; a
-/// tuple is a hash-set entry plus its delta slot; an edge is a successor
-/// slot plus an `edge_set` entry; a context is an interned boxed sequence
-/// plus its table entry.
+/// tuple is its share of a points-to set (`ObjSet`: a sorted-vector slot
+/// or a bitset bit) plus its delta slot; an edge is a successor slot plus
+/// an `edge_set` entry; a context is an interned boxed sequence plus its
+/// table entry. They overstate measured peak memory several times over;
+/// refitting them moves every `--max-bytes` stop point, so it is a change
+/// of its own.
 const BYTES_PER_NODE: u64 = 168;
 const BYTES_PER_TUPLE: u64 = 48;
 const BYTES_PER_EDGE: u64 = 72;
@@ -505,6 +508,10 @@ impl Graph for NodeTable<NodeId> {
         self.add_local(node.0 as usize, obj);
     }
 
+    fn copy_set(&mut self, from: NodeId, to: NodeId) {
+        self.add_sorted(from.0 as usize, to.0 as usize);
+    }
+
     fn tables(&self) -> impl Iterator<Item = &NodeTable<NodeId>> {
         std::iter::once(self)
     }
@@ -575,7 +582,14 @@ pub(crate) fn analyze_sequential(
         config.clone(),
         NodeTable::default(),
     );
-    Solver { core, drains: 0 }.run()
+    Solver {
+        core,
+        drains: 0,
+        mask: Vec::new(),
+        succ_skipped: 0,
+        succ_visited: 0,
+    }
+    .run()
 }
 
 /// The sequential engine: the shared rules over one node table, drained by
@@ -584,6 +598,12 @@ struct Solver<'p> {
     core: Core<'p, NodeTable<NodeId>>,
     /// Worklist pops (an engine metric, not a counter).
     drains: u64,
+    /// The drained delta as bitset words, reused across drains.
+    mask: Vec<u64>,
+    /// Copy successors a drain skipped because they already held the
+    /// whole delta, and those it walked id by id (engine metrics).
+    succ_skipped: u64,
+    succ_visited: u64,
 }
 
 impl Solver<'_> {
@@ -602,6 +622,8 @@ impl Solver<'_> {
             // stream — the sharded engine batches the worklist differently,
             // so drain counts are topology-dependent.
             tele.metric("seq.worklist_drains", self.drains);
+            tele.metric("seq.succ_skipped", self.succ_skipped);
+            tele.metric("seq.succ_visited", self.succ_visited);
         }
         let result = {
             let _project = crate::telemetry::span_opt(&tele, "project");
@@ -642,10 +664,26 @@ impl Solver<'_> {
             // Each rule list is walked by index up to its length before its
             // loop: entries a setter/getter cut appends mid-loop already
             // applied themselves to the node's current objects.
+            //
+            // A copy successor that already holds the whole delta would
+            // gain nothing from it, so it is skipped on a word-wise subset
+            // test against the delta's bitmask. Every other successor takes
+            // the delta id by id in delta order, which fixes the order of
+            // every later derivation (see DESIGN §3).
+            let lo = if core.graph.succ[i].is_empty() {
+                None
+            } else {
+                delta_mask(&d, &mut self.mask)
+            };
             for k in 0..core.graph.succ[i].len() {
-                let s = core.graph.succ[i][k];
+                let s = core.graph.succ[i][k].0 as usize;
+                if lo.is_some_and(|lo| core.graph.pts[s].covers_mask(lo, &self.mask)) {
+                    self.succ_skipped += 1;
+                    continue;
+                }
+                self.succ_visited += 1;
                 for &o in &d {
-                    core.graph.add_local(s.0 as usize, o);
+                    core.graph.add_local(s, o);
                 }
             }
             for k in 0..core.graph.filter_succ[i].len() {
@@ -678,6 +716,26 @@ impl Solver<'_> {
         }
         Ok(())
     }
+}
+
+/// Writes the ids of `delta` into `mask` as bitset words starting at word
+/// `lo`, and returns `lo`; returns `None`, leaving `mask` stale, when the
+/// mask would take as many words as `delta` has ids.
+fn delta_mask(delta: &[u32], mask: &mut Vec<u64>) -> Option<usize> {
+    let (min, max) = delta
+        .iter()
+        .fold((u32::MAX, 0), |(lo, hi), &o| (lo.min(o), hi.max(o)));
+    let lo = min as usize / 64;
+    let words = max as usize / 64 + 1 - lo;
+    if words >= delta.len() {
+        return None;
+    }
+    mask.clear();
+    mask.resize(words, 0);
+    for &o in delta {
+        mask[o as usize / 64 - lo] |= 1 << (o % 64);
+    }
+    Some(lo)
 }
 
 #[cfg(test)]

@@ -104,6 +104,33 @@ fn counter_streams_are_thread_and_run_invariant() {
     }
 }
 
+/// The sequential drain reports, in the metric stream, how many copy
+/// successors it skipped because they already held the whole delta and
+/// how many it walked. On antlr `2objH` the skip fires.
+#[test]
+fn sequential_drain_reports_skipped_successors() {
+    let program = dacapo::antlr().build();
+    let hierarchy = ClassHierarchy::new(&program);
+    let tele: TelemetryHandle = Some(Arc::new(Telemetry::new()));
+    analyze_flavor(
+        &program,
+        &hierarchy,
+        Flavor::OBJ2H,
+        &traced_config(1, &tele),
+    );
+    let metrics = tele.as_deref().unwrap().metric_stream();
+    let get = |name: &str| {
+        metrics
+            .iter()
+            .find(|(n, _)| n == name)
+            .map(|&(_, v)| v)
+            .unwrap_or_else(|| panic!("no {name} metric"))
+    };
+    assert!(get("seq.worklist_drains") > 0);
+    assert!(get("seq.succ_skipped") > 0);
+    assert!(get("seq.succ_visited") > 0);
+}
+
 /// Attaching a recorder never changes the analysis: canonical stats,
 /// projections, outcome — byte-identical on vs. off, at every thread count.
 #[test]

@@ -31,16 +31,18 @@
 //! special (constructor-style) calls `r = special recv Class.name(args)`.
 //! Static fields are declared with `global Class.name` and accessed as
 //! `x = global name` / `global name = x`. Fields and globals are declared
-//! qualified but referenced by simple name; a program with two fields (or
-//! globals) of the same simple name cannot be expressed in text form (the
-//! parser reports the ambiguity).
+//! qualified and referenced by simple name, or qualified by their declaring
+//! class where the simple name is shared (`h = l.List.head`,
+//! `l.List.head = o`, `x = global C.name`); the printer qualifies exactly
+//! those references, and the parser reports a bare name that two
+//! declarations share as ambiguous.
 
 use std::collections::HashMap;
 use std::fmt;
 use std::fmt::Write as _;
 
 use crate::builder::ProgramBuilder;
-use crate::ids::{ClassId, FieldId, GlobalId, MethodId, VarId};
+use crate::ids::{ClassId, FieldId, GlobalId, IdxVec, MethodId, VarId};
 use crate::program::{Instruction, InvokeKind, Program};
 use crate::span::Span;
 
@@ -199,8 +201,8 @@ pub fn parse_program(source: &str) -> Result<Program, ParseError> {
         .collect();
 
     let mut b = ProgramBuilder::new();
-    let mut fields: HashMap<String, Vec<FieldId>> = HashMap::new();
-    let mut globals: HashMap<String, Vec<GlobalId>> = HashMap::new();
+    let mut fields: Members<FieldId> = HashMap::new();
+    let mut globals: Members<GlobalId> = HashMap::new();
     // (class, name, params, static) -> MethodId, declared in pass 1.
     let mut methods: HashMap<(String, String, usize), MethodId> = HashMap::new();
 
@@ -249,7 +251,10 @@ pub fn parse_program(source: &str) -> Result<Program, ParseError> {
             cur.expect_end()?;
             let cid = class_of(&b, *line, class)?;
             let fid = b.field(cid, name);
-            fields.entry(name.to_owned()).or_default().push(fid);
+            fields
+                .entry(name.to_owned())
+                .or_default()
+                .push((class.to_owned(), fid));
         } else if cur.eat_ident("global") {
             let class = cur.ident()?;
             cur.punct('.')?;
@@ -257,7 +262,10 @@ pub fn parse_program(source: &str) -> Result<Program, ParseError> {
             cur.expect_end()?;
             let cid = class_of(&b, *line, class)?;
             let gid = b.global(cid, name);
-            globals.entry(name.to_owned()).or_default().push(gid);
+            globals
+                .entry(name.to_owned())
+                .or_default()
+                .push((class.to_owned(), gid));
         } else if cur.eat_ident("method") {
             let class = cur.ident()?.to_owned();
             cur.punct('.')?;
@@ -421,33 +429,47 @@ fn local(
     v
 }
 
-fn field_by_name(
-    fields: &HashMap<String, Vec<FieldId>>,
+/// Fields (or globals) by simple name, each with its declaring class.
+type Members<I> = HashMap<String, Vec<(String, I)>>;
+
+/// Resolves a field or global reference: a bare `name` must be declared
+/// once program-wide, a qualified `Class.name` once in that class.
+fn member<I: Copy>(
+    members: &Members<I>,
+    kind: &str,
     line: usize,
+    class: Option<&str>,
     name: &str,
-) -> Result<FieldId, ParseError> {
-    match fields.get(name).map(Vec::as_slice) {
-        Some([f]) => Ok(*f),
-        Some(_) => err(
+) -> Result<I, ParseError> {
+    let declared = members.get(name).map(Vec::as_slice).unwrap_or_default();
+    let mut hits = declared
+        .iter()
+        .filter(|(c, _)| class.is_none_or(|q| q == c));
+    let shown = match class {
+        Some(c) => format!("{c}.{name}"),
+        None => name.to_owned(),
+    };
+    match (hits.next(), hits.next()) {
+        (Some(&(_, id)), None) => Ok(id),
+        (Some(_), Some(_)) if class.is_none() => err(
             line,
-            format!("ambiguous field name {name:?} in textual form"),
+            format!("ambiguous {kind} name {name:?}: write it as Class.{name}"),
         ),
-        None => err(line, format!("unknown field {name:?}")),
+        (Some(_), Some(_)) => err(line, format!("duplicate {kind} {shown:?}")),
+        (None, _) => err(line, format!("unknown {kind} {shown:?}")),
     }
 }
 
-fn global_by_name(
-    globals: &HashMap<String, Vec<GlobalId>>,
-    line: usize,
-    name: &str,
-) -> Result<GlobalId, ParseError> {
-    match globals.get(name).map(Vec::as_slice) {
-        Some([g]) => Ok(*g),
-        Some(_) => err(
-            line,
-            format!("ambiguous global name {name:?} in textual form"),
-        ),
-        None => err(line, format!("unknown global {name:?}")),
+/// Reads a field or global reference, `name` or `Class.name`, whose first
+/// identifier is `first`.
+fn member_ref<'a>(
+    cur: &mut Cur<'a>,
+    first: &'a str,
+) -> Result<(Option<&'a str>, &'a str), ParseError> {
+    if cur.eat_punct('.') {
+        Ok((Some(first), cur.ident()?))
+    } else {
+        Ok((None, first))
     }
 }
 
@@ -532,8 +554,8 @@ fn parse_call(
 fn parse_stmt(
     b: &mut ProgramBuilder,
     methods: &HashMap<(String, String, usize), MethodId>,
-    fields: &HashMap<String, Vec<FieldId>>,
-    globals: &HashMap<String, Vec<GlobalId>>,
+    fields: &Members<FieldId>,
+    globals: &Members<GlobalId>,
     mid: MethodId,
     locals: &mut HashMap<String, VarId>,
     line: usize,
@@ -544,12 +566,13 @@ fn parse_stmt(
 
     if first == "global" {
         // `global g = x` — static-field store.
-        let name = cur.ident()?.to_owned();
+        let word = cur.ident()?;
+        let (class, name) = member_ref(&mut cur, word)?;
         cur.punct('=')?;
         let from_name = cur.ident()?;
         let from = local(b, mid, locals, from_name);
         cur.expect_end()?;
-        let gid = global_by_name(globals, line, &name)?;
+        let gid = member(globals, "global", line, class, name)?;
         b.store_global(mid, gid, from);
         return Ok(());
     }
@@ -587,9 +610,10 @@ fn parse_stmt(
         return Ok(());
     }
 
-    // `x.f = y` (store) or `x.f(args)` (call, no result) or `x = ...`.
+    // `x.f = y` or `x.C.f = y` (store), `x.f(args)` (call, no result), or
+    // `x = ...`.
     if cur.eat_punct('.') {
-        let second = cur.ident()?.to_owned();
+        let second = cur.ident()?;
         if matches!(cur.peek(), Some(Tok::Punct('('))) {
             // receiver.name(args) with no result
             let base = local(b, mid, locals, &first);
@@ -606,14 +630,15 @@ fn parse_stmt(
                 }
             }
             cur.expect_end()?;
-            b.vcall(mid, None, base, &second, &args);
+            b.vcall(mid, None, base, second, &args);
         } else {
+            let (class, name) = member_ref(&mut cur, second)?;
             cur.punct('=')?;
             let from_name = cur.ident()?;
             let from = local(b, mid, locals, from_name);
             cur.expect_end()?;
             let base = local(b, mid, locals, &first);
-            let field = field_by_name(fields, line, &second)?;
+            let field = member(fields, "field", line, class, name)?;
             b.store(mid, base, field, from);
         }
         return Ok(());
@@ -631,8 +656,9 @@ fn parse_stmt(
     match head.as_str() {
         "global" => {
             // `x = global g` — static-field load.
-            let name = cur.ident()?;
-            let gid = global_by_name(globals, line, name)?;
+            let word = cur.ident()?;
+            let (class, name) = member_ref(&mut cur, word)?;
+            let gid = member(globals, "global", line, class, name)?;
             cur.expect_end()?;
             b.load_global(mid, to, gid);
         }
@@ -655,7 +681,7 @@ fn parse_stmt(
         }
         src => {
             if cur.eat_punct('.') {
-                let member = cur.ident()?.to_owned();
+                let second = cur.ident()?;
                 if matches!(cur.peek(), Some(Tok::Punct('('))) {
                     // x = recv.name(args): rebuild via parse_call path.
                     let base = local(b, mid, locals, src);
@@ -672,11 +698,12 @@ fn parse_stmt(
                         }
                     }
                     cur.expect_end()?;
-                    b.vcall(mid, Some(to), base, &member, &args);
+                    b.vcall(mid, Some(to), base, second, &args);
                 } else {
+                    let (class, name) = member_ref(&mut cur, second)?;
                     cur.expect_end()?;
                     let base = local(b, mid, locals, src);
-                    let field = field_by_name(fields, line, &member)?;
+                    let field = member(fields, "field", line, class, name)?;
                     b.load(mid, to, base, field);
                 }
             } else {
@@ -693,8 +720,11 @@ fn parse_stmt(
 ///
 /// Classes are emitted in id order, which is a valid declaration order
 /// because builders create superclasses before subclasses; if a program
-/// violates that, the printed text will not re-parse.
+/// violates that, the printed text will not re-parse. A field or global
+/// reference is printed `Class.name` when another field (or global)
+/// shares its simple name, and by simple name otherwise.
 pub fn print_program(program: &Program) -> String {
+    let names = MemberNames::new(program);
     let mut out = String::new();
     for class in program.classes.values() {
         write!(out, "class {}", class.name).unwrap();
@@ -744,7 +774,7 @@ pub fn print_program(program: &Program) -> String {
         out.push_str(" {\n");
         for instr in &method.body {
             out.push_str("  ");
-            print_instr(&mut out, program, instr);
+            print_instr(&mut out, program, &names, instr);
             out.push('\n');
         }
         out.push_str("}\n\n");
@@ -762,7 +792,41 @@ pub fn print_program(program: &Program) -> String {
     out
 }
 
-fn print_instr(out: &mut String, p: &Program, instr: &Instruction) {
+/// How the printer refers to fields and globals.
+struct MemberNames {
+    fields: IdxVec<FieldId, String>,
+    globals: IdxVec<GlobalId, String>,
+}
+
+impl MemberNames {
+    fn new(p: &Program) -> Self {
+        let fields = p.fields.values().map(|f| (f.name.as_str(), f.class));
+        let globals = p.globals.values().map(|g| (g.name.as_str(), g.class));
+        MemberNames {
+            fields: member_refs(p, fields.collect()).into_iter().collect(),
+            globals: member_refs(p, globals.collect()).into_iter().collect(),
+        }
+    }
+}
+
+/// The reference to each `(simple name, declaring class)` declaration:
+/// `Class.name` where another declaration shares the simple name, the
+/// simple name otherwise.
+fn member_refs(p: &Program, decls: Vec<(&str, ClassId)>) -> Vec<String> {
+    let mut uses: HashMap<&str, usize> = HashMap::new();
+    for &(name, _) in &decls {
+        *uses.entry(name).or_default() += 1;
+    }
+    decls
+        .iter()
+        .map(|&(name, class)| match uses[name] {
+            1 => name.to_owned(),
+            _ => format!("{}.{name}", p.classes[class].name),
+        })
+        .collect()
+}
+
+fn print_instr(out: &mut String, p: &Program, names: &MemberNames, instr: &Instruction) {
     let v = |id: VarId| p.vars[id].name.clone();
     match *instr {
         Instruction::Alloc { var, alloc } => write!(
@@ -782,16 +846,16 @@ fn print_instr(out: &mut String, p: &Program, instr: &Instruction) {
         )
         .unwrap(),
         Instruction::Load { to, base, field } => {
-            write!(out, "{} = {}.{}", v(to), v(base), p.fields[field].name).unwrap()
+            write!(out, "{} = {}.{}", v(to), v(base), names.fields[field]).unwrap()
         }
         Instruction::Store { base, field, from } => {
-            write!(out, "{}.{} = {}", v(base), p.fields[field].name, v(from)).unwrap()
+            write!(out, "{}.{} = {}", v(base), names.fields[field], v(from)).unwrap()
         }
         Instruction::LoadGlobal { to, global } => {
-            write!(out, "{} = global {}", v(to), p.globals[global].name).unwrap()
+            write!(out, "{} = global {}", v(to), names.globals[global]).unwrap()
         }
         Instruction::StoreGlobal { global, from } => {
-            write!(out, "global {} = {}", p.globals[global].name, v(from)).unwrap()
+            write!(out, "global {} = {}", names.globals[global], v(from)).unwrap()
         }
         Instruction::Return { var } => write!(out, "return {}", v(var)).unwrap(),
         Instruction::Spawn { invoke } => {
@@ -918,6 +982,52 @@ entry Object.main
         let src = "class C\nclass D\nfield C.f\nfield D.f\nmethod C.g() {\n  x = this.f\n}\n";
         let e = parse_program(src).unwrap_err();
         assert!(e.message.contains("ambiguous field"), "{e}");
+    }
+
+    /// Shared member names are written `Class.name`, in both directions;
+    /// unshared ones stay bare.
+    #[test]
+    fn shared_member_names_are_qualified() {
+        let src = "class C
+class D
+field C.f
+field D.f
+field D.g
+global C.s
+global D.s
+method C.main() static {
+  c = new C
+  d = new D
+  c.C.f = d
+  d.D.f = c
+  d.g = c
+  x = d.D.f
+  global D.s = x
+  y = global C.s
+}
+entry C.main
+";
+        let p = parse_program(src).unwrap();
+        assert_eq!(validate(&p), Ok(()));
+        let printed = print_program(&p);
+        assert_eq!(printed, print_program(&parse_program(&printed).unwrap()));
+        for line in [
+            "c.C.f = d",
+            "d.D.f = c",
+            "d.g = c",
+            "x = d.D.f",
+            "global D.s = x",
+        ] {
+            assert!(printed.contains(line), "{line:?} in\n{printed}");
+        }
+        let store = |body: &str| {
+            let src = format!("class C\nfield C.f\nmethod C.m() {{\n  {body}\n}}\n");
+            parse_program(&src).map(|_| ()).map_err(|e| e.message)
+        };
+        assert_eq!(store("this.C.f = this"), Ok(()));
+        assert_eq!(store("this.f = this"), Ok(()));
+        let e = store("this.D.f = this").unwrap_err();
+        assert!(e.contains("unknown field \"D.f\""), "{e}");
     }
 
     #[test]
