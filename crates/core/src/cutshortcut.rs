@@ -14,7 +14,7 @@
 //! This module is the deterministic pre-analysis: it builds the static
 //! pointer flow graph ([`rudoop_ir::FlowGraph`]), classifies methods
 //! against three syntactic patterns, and emits a [`CutSummary`] that the
-//! solver (sequential and sharded) consumes at call-edge time:
+//! solver consumes at call-edge time:
 //!
 //! - **identity parameter**: the parameter flows *only* into the method's
 //!   return through copies — cut the `arg → param` edge and shortcut

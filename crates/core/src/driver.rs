@@ -148,7 +148,6 @@ impl Flavor {
                     Some(Arc::new(SummaryTable::compute_traced(
                         program,
                         &hierarchy,
-                        config.parallelism.thread_count(),
                         &config.telemetry,
                     )))
                 }

@@ -63,12 +63,10 @@ pub mod hash;
 pub mod heuristics;
 pub mod introspection;
 pub mod json;
-pub mod parallel;
 pub mod policy;
 pub mod races;
 mod rules;
 pub mod service;
-pub mod shard;
 pub mod solver;
 pub mod stats;
 pub mod summaries;
@@ -86,7 +84,6 @@ pub use heuristics::{
     CustomHeuristic, HeuristicA, HeuristicB, Metric, RefinementHeuristic, RefinementStats,
 };
 pub use introspection::IntrospectionMetrics;
-pub use parallel::Parallelism;
 pub use policy::{
     CallSiteSensitive, ContextPolicy, CutShortcut, HybridObjectSensitive, Insensitive,
     Introspective, ObjectSensitive, RefinementSet, Summaries, TypeSensitive,

@@ -1588,7 +1588,7 @@ mod tests {
         assert!(json.contains("\"escapes\": []"));
     }
 
-    /// Renumbering the context tables (as a different solver engine might)
+    /// Renumbering the context tables (as a different interning order would)
     /// must not change witnesses or traces: the race client canonicalizes
     /// context ids by content before anything order-sensitive.
     #[test]
@@ -1628,7 +1628,10 @@ mod tests {
         assert_eq!(a.suspect_guards, b.suspect_guards);
         assert_eq!(a.escapes, b.escapes);
         for (ra, rb) in a.races.iter().zip(&b.races) {
-            assert_eq!(ra.a.trace, rb.a.trace, "traces must be engine-invariant");
+            assert_eq!(
+                ra.a.trace, rb.a.trace,
+                "traces must not depend on context interning order"
+            );
             assert_eq!(ra.b.trace, rb.b.trace);
         }
     }

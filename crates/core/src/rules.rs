@@ -1,13 +1,10 @@
-//! The Figure-3 rules and every flavor hook, written once for both
-//! engines.
+//! The Figure-3 rules and every flavor hook, over one propagation graph.
 //!
-//! The sequential worklist solver ([`crate::solver`]) and the sharded
-//! engine ([`crate::parallel`]) derive the same facts by the same rules;
-//! they differ only in where a propagation-graph node lives and in what
-//! inserting a points-to tuple means — an immediate insertion plus a
-//! worklist push, or a message to the owning shard applied at the next
-//! epoch. That difference is the [`Graph`] trait; everything else lives
-//! here, in [`Core`], generic over it (static dispatch only):
+//! [`Core`] holds the solver state — a [`NodeTable`] whose nodes are
+//! named by their `u32` index, plus the interning tables and the derived
+//! relations — and the rules that grow it. A rule's points-to insertion
+//! takes effect at once and queues the node for the worklist drain in
+//! [`crate::solver`]. The rules are:
 //!
 //! - node interning for context-qualified variables, field slots and
 //!   static fields, under the node-capacity cap,
@@ -21,12 +18,10 @@
 //! - the deterministic stopping check and the result projection
 //!   ([`Core::finish`]).
 //!
-//! What stays per engine is only the propagation schedule: the
-//! sequential worklist drain, and the sharded epochs, barrier, message
-//! routing and sequential replay.
+//! The propagation schedule, the semi-naive drain of one node's delta at
+//! a time, lives in [`crate::solver`].
 
 use std::collections::VecDeque;
-use std::hash::Hash;
 use std::time::Instant;
 
 use rudoop_ir::{
@@ -56,21 +51,20 @@ pub(crate) enum NodeKind {
     Global(GlobalId),
 }
 
-/// The per-node tables of one propagation graph (the sequential solver's
-/// whole graph, or one shard of the sharded engine), with its semi-naive
-/// worklist. `N` is the engine's node id, which successor lists name.
-/// Points-to sets and deltas hold interned object ids (see
+/// The per-node tables of the propagation graph, with its semi-naive
+/// worklist. A node is named by its `u32` index, which successor lists
+/// hold. Points-to sets and deltas hold interned object ids (see
 /// [`Core::intern_obj`]).
-#[derive(Debug)]
-pub(crate) struct NodeTable<N> {
+#[derive(Debug, Default)]
+pub(crate) struct NodeTable {
     pub(crate) kinds: Vec<NodeKind>,
     pub(crate) pts: Vec<ObjSet>,
     pub(crate) delta: Vec<Vec<u32>>,
-    pub(crate) succ: Vec<Vec<N>>,
+    pub(crate) succ: Vec<Vec<u32>>,
     /// Cast-filtered copy edges: only objects conforming to the class pass.
-    pub(crate) filter_succ: Vec<Vec<(ClassId, N)>>,
-    pub(crate) loads: Vec<Vec<(FieldId, N)>>,
-    pub(crate) stores: Vec<Vec<(FieldId, N)>>,
+    pub(crate) filter_succ: Vec<Vec<(ClassId, u32)>>,
+    pub(crate) loads: Vec<Vec<(FieldId, u32)>>,
+    pub(crate) stores: Vec<Vec<(FieldId, u32)>>,
     pub(crate) calls: Vec<Vec<InvokeId>>,
     pub(crate) node_ctx: Vec<CtxId>,
     in_worklist: Vec<bool>,
@@ -80,27 +74,8 @@ pub(crate) struct NodeTable<N> {
     pub(crate) derivations: u64,
 }
 
-impl<N> Default for NodeTable<N> {
-    fn default() -> Self {
-        NodeTable {
-            kinds: Vec::new(),
-            pts: Vec::new(),
-            delta: Vec::new(),
-            succ: Vec::new(),
-            filter_succ: Vec::new(),
-            loads: Vec::new(),
-            stores: Vec::new(),
-            calls: Vec::new(),
-            node_ctx: Vec::new(),
-            in_worklist: Vec::new(),
-            worklist: VecDeque::new(),
-            derivations: 0,
-        }
-    }
-}
-
-impl<N> NodeTable<N> {
-    /// Appends a node; returns its index in this table.
+impl NodeTable {
+    /// Appends a node; returns its index.
     pub(crate) fn push(&mut self, kind: NodeKind, ctx: CtxId) -> u32 {
         let idx = self.kinds.len() as u32;
         self.kinds.push(kind);
@@ -154,11 +129,6 @@ impl<N> NodeTable<N> {
         self.in_worklist[idx] = false;
         Some(idx)
     }
-
-    /// Whether no node has pending work.
-    pub(crate) fn is_idle(&self) -> bool {
-        self.worklist.is_empty()
-    }
 }
 
 /// Whether object `obj` (an id into `objs`) passes a cast to `class`
@@ -173,74 +143,39 @@ pub(crate) fn cast_admits(
     hierarchy.is_subtype(program.allocs[objs[obj as usize].heap()].class, class)
 }
 
-/// The engine seam: node placement and tuple insertion.
-pub(crate) trait Graph {
-    /// Node identifier.
-    type Node: Copy + Eq + Hash;
-
-    /// Allocates a node for `kind` in the table that owns it.
-    fn push_node(&mut self, program: &Program, kind: NodeKind, ctx: CtxId) -> Self::Node;
-
-    /// The table holding `node`, and `node`'s index in it.
-    fn slot(&mut self, node: Self::Node) -> (&mut NodeTable<Self::Node>, usize);
-
-    /// Inserts a points-to tuple (an interned object id) derived by a rule.
-    fn add_obj(&mut self, node: Self::Node, obj: u32);
-
-    /// Inserts every object at `from` into `to` (`from != to`), as
-    /// [`Self::add_obj`] of each in increasing id order does.
-    fn copy_set(&mut self, from: Self::Node, to: Self::Node) {
-        let (table, i) = self.slot(from);
-        for o in snapshot(table, i) {
-            self.add_obj(to, o);
-        }
-    }
-
-    /// Every node table, in a fixed order.
-    fn tables(&self) -> impl Iterator<Item = &NodeTable<Self::Node>>;
-}
-
-/// The objects currently at a node, in increasing id order, copied out so
-/// rules can keep deriving while they walk them.
-fn snapshot<N>(table: &NodeTable<N>, idx: usize) -> Vec<u32> {
-    table.pts[idx].iter().collect()
-}
-
-/// Engine-independent solver state and the rules over it.
-pub(crate) struct Core<'p, G: Graph> {
+/// The solver state and the rules over it.
+pub(crate) struct Core<'p> {
     pub(crate) program: &'p Program,
     pub(crate) hierarchy: &'p ClassHierarchy,
     pub(crate) policy: &'p dyn ContextPolicy,
     pub(crate) config: SolverConfig,
     pub(crate) tables: CtxTables,
-    pub(crate) graph: G,
+    pub(crate) graph: NodeTable,
     /// Every context-qualified object, indexed by its interned id: points-to
-    /// sets, deltas and engine messages carry the id.
+    /// sets and deltas carry the id.
     pub(crate) objs: Vec<CObj>,
     obj_ids: FxHashMap<u64, u32>,
-    var_nodes: FxHashMap<u64, G::Node>,
+    var_nodes: FxHashMap<u64, u32>,
     /// Keyed by `obj_id << 32 | field`.
-    field_nodes: FxHashMap<u64, G::Node>,
-    global_nodes: FxHashMap<u32, G::Node>,
-    edge_set: FxHashSet<(G::Node, G::Node)>,
+    field_nodes: FxHashMap<u64, u32>,
+    global_nodes: FxHashMap<u32, u32>,
+    edge_set: FxHashSet<(u32, u32)>,
     reachable: FxHashSet<u64>,
     cg_edges: FxHashSet<(u64, u64)>,
     /// Reachable `(method, ctx)` pairs whose bodies are not yet
     /// instantiated.
     pub(crate) inst_queue: VecDeque<(MethodId, CtxId)>,
-    node_count: usize,
     node_cap: usize,
     start: Instant,
     pub(crate) exhausted: Option<ExhaustionCause>,
 }
 
-impl<'p, G: Graph> Core<'p, G> {
+impl<'p> Core<'p> {
     pub(crate) fn new(
         program: &'p Program,
         hierarchy: &'p ClassHierarchy,
         policy: &'p dyn ContextPolicy,
         config: SolverConfig,
-        graph: G,
     ) -> Self {
         let node_cap = config
             .max_nodes
@@ -256,7 +191,7 @@ impl<'p, G: Graph> Core<'p, G> {
             policy,
             config,
             tables,
-            graph,
+            graph: NodeTable::default(),
             objs: Vec::new(),
             obj_ids: FxHashMap::default(),
             var_nodes: FxHashMap::default(),
@@ -266,7 +201,6 @@ impl<'p, G: Graph> Core<'p, G> {
             reachable: FxHashSet::default(),
             cg_edges: FxHashSet::default(),
             inst_queue: VecDeque::new(),
-            node_count: 0,
             node_cap,
             start: Instant::now(),
             exhausted: None,
@@ -274,19 +208,18 @@ impl<'p, G: Graph> Core<'p, G> {
     }
 
     /// Allocates a propagation-graph node. Fails (instead of panicking)
-    /// when the node table is at capacity; the engine stops the run with
+    /// when the node table is at capacity; the solver stops the run with
     /// [`Outcome::CapacityExceeded`].
-    fn new_node(&mut self, kind: NodeKind, ctx: CtxId) -> Result<G::Node, SolverError> {
-        if self.node_count >= self.node_cap {
+    fn new_node(&mut self, kind: NodeKind, ctx: CtxId) -> Result<u32, SolverError> {
+        if self.graph.kinds.len() >= self.node_cap {
             return Err(SolverError::NodeCapacity {
                 limit: self.node_cap,
             });
         }
-        self.node_count += 1;
-        Ok(self.graph.push_node(self.program, kind, ctx))
+        Ok(self.graph.push(kind, ctx))
     }
 
-    fn var_node(&mut self, var: VarId, ctx: CtxId) -> Result<G::Node, SolverError> {
+    fn var_node(&mut self, var: VarId, ctx: CtxId) -> Result<u32, SolverError> {
         let key = (u64::from(var.0) << 32) | u64::from(ctx.0);
         if let Some(&n) = self.var_nodes.get(&key) {
             return Ok(n);
@@ -308,7 +241,7 @@ impl<'p, G: Graph> Core<'p, G> {
         id
     }
 
-    fn field_node(&mut self, obj: u32, field: FieldId) -> Result<G::Node, SolverError> {
+    fn field_node(&mut self, obj: u32, field: FieldId) -> Result<u32, SolverError> {
         let key = (u64::from(obj) << 32) | u64::from(field.0);
         if let Some(&n) = self.field_nodes.get(&key) {
             return Ok(n);
@@ -319,7 +252,7 @@ impl<'p, G: Graph> Core<'p, G> {
         Ok(n)
     }
 
-    fn global_node(&mut self, global: GlobalId) -> Result<G::Node, SolverError> {
+    fn global_node(&mut self, global: GlobalId) -> Result<u32, SolverError> {
         if let Some(&n) = self.global_nodes.get(&global.0) {
             return Ok(n);
         }
@@ -328,31 +261,28 @@ impl<'p, G: Graph> Core<'p, G> {
         Ok(n)
     }
 
-    /// Adds a copy edge; objects already at `from` traverse it at once.
-    /// Objects still in flight to `from` (sharded messages) are not lost:
-    /// they enter `from`'s delta when applied, and the drain walks the
-    /// successor list, which now includes this edge.
-    fn add_edge(&mut self, from: G::Node, to: G::Node) {
+    /// Adds a copy edge; objects already at `from` traverse it at once,
+    /// and later arrivals follow it when the drain walks `from`'s
+    /// successors.
+    fn add_edge(&mut self, from: u32, to: u32) {
         if from == to || !self.edge_set.insert((from, to)) {
             return;
         }
-        let (table, i) = self.graph.slot(from);
-        table.succ[i].push(to);
-        if !table.pts[i].is_empty() {
-            self.graph.copy_set(from, to);
+        let i = from as usize;
+        self.graph.succ[i].push(to);
+        if !self.graph.pts[i].is_empty() {
+            self.graph.add_sorted(i, to as usize);
         }
     }
 
     /// A copy edge that only lets objects whose class conforms to `class`
     /// through (Doop's assign-cast filtering).
-    fn add_filtered_edge(&mut self, from: G::Node, to: G::Node, class: ClassId) {
-        let (table, i) = self.graph.slot(from);
-        table.filter_succ[i].push((class, to));
-        if !table.pts[i].is_empty() {
-            for o in snapshot(table, i) {
-                if cast_admits(self.program, self.hierarchy, &self.objs, o, class) {
-                    self.graph.add_obj(to, o);
-                }
+    fn add_filtered_edge(&mut self, from: u32, to: u32, class: ClassId) {
+        let i = from as usize;
+        self.graph.filter_succ[i].push((class, to));
+        for o in self.graph.pts[i].iter().collect::<Vec<_>>() {
+            if cast_admits(self.program, self.hierarchy, &self.objs, o, class) {
+                self.graph.add_local(to as usize, o);
             }
         }
     }
@@ -361,7 +291,7 @@ impl<'p, G: Graph> Core<'p, G> {
     pub(crate) fn load_obj(
         &mut self,
         field: FieldId,
-        to: G::Node,
+        to: u32,
         obj: u32,
     ) -> Result<(), SolverError> {
         let fnode = self.field_node(obj, field)?;
@@ -372,7 +302,7 @@ impl<'p, G: Graph> Core<'p, G> {
     /// `obj` reached the base of a registered store: `from → obj.field`.
     pub(crate) fn store_obj(
         &mut self,
-        from: G::Node,
+        from: u32,
         field: FieldId,
         obj: u32,
     ) -> Result<(), SolverError> {
@@ -382,31 +312,20 @@ impl<'p, G: Graph> Core<'p, G> {
     }
 
     /// Registers the load `to = base.field` and applies it to the objects
-    /// already at `base`; later arrivals are the drain's job.
-    fn register_load(
-        &mut self,
-        base: G::Node,
-        field: FieldId,
-        to: G::Node,
-    ) -> Result<(), SolverError> {
-        let (table, i) = self.graph.slot(base);
-        table.loads[i].push((field, to));
-        for o in snapshot(table, i) {
+    /// already at `base` (copied out first, since applying it derives
+    /// more); later arrivals are the drain's job.
+    fn register_load(&mut self, base: u32, field: FieldId, to: u32) -> Result<(), SolverError> {
+        self.graph.loads[base as usize].push((field, to));
+        for o in self.graph.pts[base as usize].iter().collect::<Vec<_>>() {
             self.load_obj(field, to, o)?;
         }
         Ok(())
     }
 
     /// Registers the store `base.field = from`, like [`Self::register_load`].
-    fn register_store(
-        &mut self,
-        base: G::Node,
-        field: FieldId,
-        from: G::Node,
-    ) -> Result<(), SolverError> {
-        let (table, i) = self.graph.slot(base);
-        table.stores[i].push((field, from));
-        for o in snapshot(table, i) {
+    fn register_store(&mut self, base: u32, field: FieldId, from: u32) -> Result<(), SolverError> {
+        self.graph.stores[base as usize].push((field, from));
+        for o in self.graph.pts[base as usize].iter().collect::<Vec<_>>() {
             self.store_obj(from, field, o)?;
         }
         Ok(())
@@ -558,7 +477,7 @@ impl<'p, G: Graph> Core<'p, G> {
                 }
                 SummaryAtom::AllocToRet(h) => {
                     let obj = self.intern_obj(CObj::new(h, HCtxId::EMPTY));
-                    self.graph.add_obj(to, obj);
+                    self.graph.add_local(to as usize, obj);
                 }
                 SummaryAtom::GlobalToRet(g) => {
                     let from = self.global_node(g)?;
@@ -604,7 +523,7 @@ impl<'p, G: Graph> Core<'p, G> {
         );
         if let Some(this) = self.program.methods[target].this {
             let tnode = self.var_node(this, callee)?;
-            self.graph.add_obj(tnode, id);
+            self.graph.add_local(tnode as usize, id);
         }
         self.add_call_edge(invoke, caller, target, callee)
     }
@@ -619,7 +538,7 @@ impl<'p, G: Graph> Core<'p, G> {
                     let hctx = self.policy.record(&mut self.tables, alloc, ctx);
                     let node = self.var_node(var, ctx)?;
                     let obj = self.intern_obj(CObj::new(alloc, hctx));
-                    self.graph.add_obj(node, obj);
+                    self.graph.add_local(node as usize, obj);
                 }
                 Instruction::Move { to, from } => {
                     let f = self.var_node(from, ctx)?;
@@ -669,9 +588,8 @@ impl<'p, G: Graph> Core<'p, G> {
                     match program.invokes[invoke].kind {
                         InvokeKind::Virtual { base, .. } | InvokeKind::Special { base, .. } => {
                             let b = self.var_node(base, ctx)?;
-                            let (table, i) = self.graph.slot(b);
-                            table.calls[i].push(invoke);
-                            for o in snapshot(table, i) {
+                            self.graph.calls[b as usize].push(invoke);
+                            for o in self.graph.pts[b as usize].iter().collect::<Vec<_>>() {
                                 self.process_receiver_call(invoke, ctx, o)?;
                             }
                         }
@@ -694,11 +612,10 @@ impl<'p, G: Graph> Core<'p, G> {
         Ok(())
     }
 
-    /// Tuple insertions so far: every table's points-to share plus one per
-    /// call-graph edge — the budget currency, folded in table order.
+    /// Tuple insertions so far: the points-to share plus one per call-graph
+    /// edge — the budget currency.
     pub(crate) fn derivations(&self) -> u64 {
-        let points_to: u64 = self.graph.tables().map(|t| t.derivations).sum();
-        points_to + self.cg_edges.len() as u64
+        self.graph.derivations + self.cg_edges.len() as u64
     }
 
     pub(crate) fn is_cancelled(&self) -> bool {
@@ -733,7 +650,7 @@ impl<'p, G: Graph> Core<'p, G> {
         }
         if let Some(max) = self.config.budget.max_bytes {
             let bytes = model_bytes(
-                self.node_count as u64,
+                self.graph.kinds.len() as u64,
                 self.edge_set.len() as u64,
                 self.derivations(),
                 self.tables.ctx_count() as u64,
@@ -762,19 +679,17 @@ impl<'p, G: Graph> Core<'p, G> {
         let mut global_sets: Vec<(GlobalId, &ObjSet)> = Vec::new();
         let mut cs_var = 0u64;
         let mut cs_field = 0u64;
-        for table in self.graph.tables() {
-            for (kind, pts) in table.kinds.iter().zip(&table.pts) {
-                match *kind {
-                    NodeKind::Var(v, _) => {
-                        cs_var += pts.len() as u64;
-                        var_sets.push((v, pts));
-                    }
-                    NodeKind::Field(base, field) => {
-                        cs_field += pts.len() as u64;
-                        field_sets.push(((base.heap(), field), pts));
-                    }
-                    NodeKind::Global(global) => global_sets.push((global, pts)),
+        for (kind, pts) in self.graph.kinds.iter().zip(&self.graph.pts) {
+            match *kind {
+                NodeKind::Var(v, _) => {
+                    cs_var += pts.len() as u64;
+                    var_sets.push((v, pts));
                 }
+                NodeKind::Field(base, field) => {
+                    cs_field += pts.len() as u64;
+                    field_sets.push(((base.heap(), field), pts));
+                }
+                NodeKind::Global(global) => global_sets.push((global, pts)),
             }
         }
         let mut projection = Projection {
@@ -797,22 +712,20 @@ impl<'p, G: Graph> Core<'p, G> {
 
         let mut dump = self.config.record_contexts.then(CsDump::default);
         if let Some(d) = dump.as_mut() {
-            for table in self.graph.tables() {
-                for (kind, pts) in table.kinds.iter().zip(&table.pts) {
-                    for obj in pts.iter().map(|o| self.objs[o as usize]) {
-                        match *kind {
-                            NodeKind::Var(v, ctx) => {
-                                d.var_points_to.push((v, ctx, obj.heap(), obj.hctx()))
-                            }
-                            NodeKind::Field(base, field) => d.field_points_to.push((
-                                base.heap(),
-                                base.hctx(),
-                                field,
-                                obj.heap(),
-                                obj.hctx(),
-                            )),
-                            NodeKind::Global(_) => {}
+            for (kind, pts) in self.graph.kinds.iter().zip(&self.graph.pts) {
+                for obj in pts.iter().map(|o| self.objs[o as usize]) {
+                    match *kind {
+                        NodeKind::Var(v, ctx) => {
+                            d.var_points_to.push((v, ctx, obj.heap(), obj.hctx()))
                         }
+                        NodeKind::Field(base, field) => d.field_points_to.push((
+                            base.heap(),
+                            base.hctx(),
+                            field,
+                            obj.heap(),
+                            obj.hctx(),
+                        )),
+                        NodeKind::Global(_) => {}
                     }
                 }
             }
@@ -850,7 +763,7 @@ impl<'p, G: Graph> Core<'p, G> {
             reachable_contexts: self.reachable.len() as u64,
             contexts: self.tables.ctx_count() as u64,
             heap_contexts: self.tables.hctx_count() as u64,
-            nodes: self.node_count as u64,
+            nodes: self.graph.kinds.len() as u64,
             edges: self.edge_set.len() as u64,
             duration,
         };
@@ -871,8 +784,6 @@ impl<'p, G: Graph> Core<'p, G> {
             reachable_methods,
             tables: self.tables,
             cs_dump: dump,
-            shard_work: None,
-            epoch_shard_work: None,
         }
     }
 }

@@ -69,8 +69,6 @@ pub struct ServiceConfig {
     /// Assign-cast filtering for every request (a per-daemon choice: it
     /// changes the warm first pass).
     pub filter_casts: bool,
-    /// Solver thread count per request.
-    pub parallelism: crate::parallel::Parallelism,
     /// Taint specification; `taint` queries error without one.
     pub taint_spec: Option<TaintSpec>,
     /// The deterministic fault-injection plan (empty in production).
@@ -90,7 +88,6 @@ impl Default for ServiceConfig {
             flavor: Flavor::OBJ2H,
             ladder: None,
             filter_casts: false,
-            parallelism: crate::parallel::Parallelism::sequential(),
             taint_spec: None,
             faults: FaultPlan::default(),
             telemetry: None,
@@ -197,7 +194,6 @@ impl ServiceState {
         let hierarchy = ClassHierarchy::new(&program);
         let warm_cfg = SolverConfig {
             filter_casts: config.filter_casts,
-            parallelism: config.parallelism,
             ..SolverConfig::default()
         };
         let warm = analyze(&program, &hierarchy, &Insensitive, &warm_cfg);
@@ -314,7 +310,6 @@ impl ServiceState {
             budget,
             solver: SolverConfig {
                 filter_casts: self.config.filter_casts,
-                parallelism: self.config.parallelism,
                 cancel: Some(cancel),
                 // The taint and race clients walk per-context points-to
                 // facts — mirror the batch CLI's record_contexts switch

@@ -27,8 +27,8 @@ use super::protocol::{self, FrameError, Request, Response, MAX_REQUEST_FRAME};
 use super::{faults, ServiceState};
 use crate::solver::CancelToken;
 
-/// Trace lanes below this are the analysis engine's (coordinator +
-/// shards); per-connection service lanes start here.
+/// Trace lanes below this are left to the analysis (lane 0, the
+/// coordinator); per-connection service lanes start here.
 const SERVICE_LANE_BASE: u32 = 1000;
 
 /// How often blocked reads and the accept loop re-check shutdown.

@@ -18,9 +18,9 @@
 //!   policy) is the solver's receiver-call processing step.
 //!
 //! The rules and every flavor hook (cut-shortcut rerouting, summary
-//! instantiation) are written once, in the crate-private `rules` module,
-//! and shared with the sharded engine of [`crate::parallel`]; this module
-//! owns the public result types and the sequential worklist drain.
+//! instantiation) live in the crate-private `rules` module, over one node
+//! table; this module owns the public result types and the worklist drain
+//! that schedules them.
 //!
 //! A [`Budget`] models the paper's 90-minute/24 GB wall: when exceeded the
 //! solver stops and reports [`Outcome::BudgetExhausted`], which the
@@ -39,7 +39,7 @@ use crate::bitset::IdBitSet;
 use crate::context::{CtxId, CtxTables, HCtxId};
 use crate::hash::FxHashMap;
 use crate::policy::ContextPolicy;
-use crate::rules::{cast_admits, Core, Graph, NodeKind, NodeTable};
+use crate::rules::{cast_admits, Core};
 
 /// Resource limits for one solver run.
 ///
@@ -303,9 +303,6 @@ pub struct SolverConfig {
     /// summary atoms — the [`crate::summaries`] engine. `None` (the
     /// default) analyzes every return edge as written.
     pub summaries: Option<Arc<crate::summaries::SummaryTable>>,
-    /// Thread count (default: sequential). More than one thread runs the
-    /// byte-identical sharded engine in [`crate::parallel`].
-    pub parallelism: crate::parallel::Parallelism,
     /// Optional telemetry recorder. Instrumentation never feeds back into
     /// the analysis: results are byte-identical with and without it.
     pub telemetry: crate::telemetry::TelemetryHandle,
@@ -351,9 +348,8 @@ const BYTES_PER_CTX: u64 = 96;
 const BYTES_PER_REACHABLE: u64 = 16;
 
 /// The modeled memory footprint given the live counters of a run. Shared
-/// between [`SolverStats::bytes_estimate`], the solver's in-loop budget
-/// check, and the parallel engine's barrier check so the three always
-/// agree.
+/// between [`SolverStats::bytes_estimate`] and the solver's in-loop budget
+/// check so the two always agree.
 pub(crate) fn model_bytes(
     nodes: u64,
     edges: u64,
@@ -462,16 +458,6 @@ pub struct PointsToResult {
     pub tables: CtxTables,
     /// Raw context-sensitive tuples, when requested.
     pub cs_dump: Option<CsDump>,
-    /// Per-shard tuple-insertion counts when the sharded engine ran
-    /// (`None` for sequential runs and for parallel runs that fell back to
-    /// a sequential replay). Feeds the work-imbalance column of
-    /// [`crate::stats::render_supervised`].
-    pub shard_work: Option<Vec<u64>>,
-    /// Per-epoch per-shard tuple-insertion deltas from the sharded engine
-    /// (outer index: epoch; inner: shard). The imbalance column reports
-    /// the *max over epochs* of each epoch's skew so a lopsided epoch
-    /// cannot hide inside a balanced cumulative total.
-    pub epoch_shard_work: Option<Vec<Vec<u64>>>,
 }
 
 impl PointsToResult {
@@ -486,65 +472,32 @@ impl PointsToResult {
     }
 }
 
-/// Node identifier in the sequential propagation graph: an index into its
-/// single [`NodeTable`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct NodeId(u32);
-
-/// The sequential graph is one node table; a rule's tuple insertion takes
-/// effect immediately and queues the node for the worklist drain.
-impl Graph for NodeTable<NodeId> {
-    type Node = NodeId;
-
-    fn push_node(&mut self, _: &Program, kind: NodeKind, ctx: CtxId) -> NodeId {
-        NodeId(self.push(kind, ctx))
-    }
-
-    fn slot(&mut self, node: NodeId) -> (&mut NodeTable<NodeId>, usize) {
-        (self, node.0 as usize)
-    }
-
-    fn add_obj(&mut self, node: NodeId, obj: u32) {
-        self.add_local(node.0 as usize, obj);
-    }
-
-    fn copy_set(&mut self, from: NodeId, to: NodeId) {
-        self.add_sorted(from.0 as usize, to.0 as usize);
-    }
-
-    fn tables(&self) -> impl Iterator<Item = &NodeTable<NodeId>> {
-        std::iter::once(self)
-    }
-}
-
 /// Runs the analysis of `program` under `policy`.
 ///
 /// This is the crate's main entry point for a single pass; the two-pass
-/// introspective flow lives in [`crate::driver`]. With
-/// [`SolverConfig::parallelism`] above one thread the byte-identical
-/// sharded engine ([`crate::parallel`]) runs instead of the sequential
-/// worklist.
+/// introspective flow lives in [`crate::driver`].
 pub fn analyze(
     program: &Program,
     hierarchy: &ClassHierarchy,
     policy: &dyn ContextPolicy,
     config: &SolverConfig,
 ) -> PointsToResult {
-    let result = if config.parallelism.is_parallel() {
-        crate::parallel::analyze_parallel(program, hierarchy, policy, config)
-    } else {
-        analyze_sequential(program, hierarchy, policy, config)
-    };
+    let result = Solver {
+        core: Core::new(program, hierarchy, policy, config.clone()),
+        drains: 0,
+        mask: Vec::new(),
+        succ_skipped: 0,
+        succ_visited: 0,
+    }
+    .run();
     record_run_counters(&config.telemetry, &result);
     result
 }
 
 /// Records the deterministic post-run counter block for a finished
-/// analysis. Called once per [`analyze`], *after* engine selection, so the
-/// counter stream is byte-identical no matter which engine ran: every
-/// value is derived from the final result, which the sharded engine
-/// reproduces exactly (completing, or replaying deterministic exhaustion
-/// sequentially).
+/// analysis, once per [`analyze`]: every value is derived from the final
+/// result, so the counter stream is a pure function of the program and
+/// the configuration.
 fn record_run_counters(tele: &crate::telemetry::TelemetryHandle, result: &PointsToResult) {
     let Some(tele) = tele.as_deref() else { return };
     let name = &result.analysis;
@@ -567,35 +520,10 @@ fn record_run_counters(tele: &crate::telemetry::TelemetryHandle, result: &Points
     tele.counter(&format!("{name}.outcome"), outcome);
 }
 
-/// The sequential worklist solver, unconditionally — the parallel engine's
-/// replay path calls this to reproduce exact budget-exhaustion states.
-pub(crate) fn analyze_sequential(
-    program: &Program,
-    hierarchy: &ClassHierarchy,
-    policy: &dyn ContextPolicy,
-    config: &SolverConfig,
-) -> PointsToResult {
-    let core = Core::new(
-        program,
-        hierarchy,
-        policy,
-        config.clone(),
-        NodeTable::default(),
-    );
-    Solver {
-        core,
-        drains: 0,
-        mask: Vec::new(),
-        succ_skipped: 0,
-        succ_visited: 0,
-    }
-    .run()
-}
-
-/// The sequential engine: the shared rules over one node table, drained by
-/// a single FIFO worklist.
+/// The worklist solver: the rules over one node table, drained by a
+/// single FIFO worklist.
 struct Solver<'p> {
-    core: Core<'p, NodeTable<NodeId>>,
+    core: Core<'p>,
     /// Worklist pops (an engine metric, not a counter).
     drains: u64,
     /// The drained delta as bitset words, reused across drains.
@@ -618,9 +546,9 @@ impl Solver<'_> {
             self.core.exhausted = Some(err.cause());
         }
         if let Some(tele) = tele.as_deref() {
-            // Engine metric: sequential worklist drains. Not in the counter
-            // stream — the sharded engine batches the worklist differently,
-            // so drain counts are topology-dependent.
+            // Engine metrics: worklist drains and successor visits. They
+            // describe how the drain scheduled the work, not the result, so
+            // they stay out of the counter stream.
             tele.metric("seq.worklist_drains", self.drains);
             tele.metric("seq.succ_skipped", self.succ_skipped);
             tele.metric("seq.succ_visited", self.succ_visited);
@@ -676,7 +604,7 @@ impl Solver<'_> {
                 delta_mask(&d, &mut self.mask)
             };
             for k in 0..core.graph.succ[i].len() {
-                let s = core.graph.succ[i][k].0 as usize;
+                let s = core.graph.succ[i][k] as usize;
                 if lo.is_some_and(|lo| core.graph.pts[s].covers_mask(lo, &self.mask)) {
                     self.succ_skipped += 1;
                     continue;
@@ -690,7 +618,7 @@ impl Solver<'_> {
                 let (class, s) = core.graph.filter_succ[i][k];
                 for &o in &d {
                     if cast_admits(core.program, core.hierarchy, &core.objs, o, class) {
-                        core.graph.add_local(s.0 as usize, o);
+                        core.graph.add_local(s as usize, o);
                     }
                 }
             }

@@ -53,10 +53,6 @@
 //! the getter-shortcut idea generalized to any distillable mix of
 //! parameter, field, allocation and global sources, composed through
 //! statically-bound callees and SCC fixpoints.
-//!
-//! [`SummaryTable::compute_parallel`] computes the same table over the SCC
-//! DAG's antichain levels concurrently (components within a level never
-//! call each other) and is byte-identical to the sequential pass.
 
 use std::collections::BTreeSet;
 
@@ -135,9 +131,8 @@ impl SummaryStats {
 }
 
 /// The output of the summary pre-analysis: per-method distilled summaries
-/// plus pass statistics. A pure function of the program — sequential and
-/// antichain-parallel computation are byte-identical, which the engine
-/// tests pin via [`SummaryTable::render`].
+/// plus pass statistics. A pure function of the program, printed by
+/// [`SummaryTable::render`].
 #[derive(Debug, Clone, Default)]
 pub struct SummaryTable {
     summaries: IdxVec<MethodId, MethodSummary>,
@@ -145,35 +140,10 @@ pub struct SummaryTable {
     pub stats: SummaryStats,
 }
 
-/// One distilled component: `(component id, its methods' summaries, rounds)`.
-type SolvedComponent = (u32, Vec<(MethodId, MethodSummary)>, usize);
-
 impl SummaryTable {
     /// Runs the bottom-up pass over `program`, one SCC at a time in
     /// reverse-topological order.
     pub fn compute(program: &Program, hierarchy: &ClassHierarchy) -> SummaryTable {
-        SummaryTable::compute_with_threads(program, hierarchy, 1)
-    }
-
-    /// Like [`SummaryTable::compute`], but distills the components of each
-    /// antichain level concurrently on up to `threads` workers. Components
-    /// within a level never call each other, every component only reads
-    /// summaries from strictly earlier levels, and results are merged in
-    /// component order — so the table is byte-identical to the sequential
-    /// pass regardless of thread count.
-    pub fn compute_parallel(
-        program: &Program,
-        hierarchy: &ClassHierarchy,
-        threads: usize,
-    ) -> SummaryTable {
-        SummaryTable::compute_with_threads(program, hierarchy, threads.max(1))
-    }
-
-    fn compute_with_threads(
-        program: &Program,
-        hierarchy: &ClassHierarchy,
-        threads: usize,
-    ) -> SummaryTable {
         let flow = FlowGraph::build(program);
         let dag = SccDag::build(program, hierarchy);
         let mut stats = SummaryStats {
@@ -187,51 +157,11 @@ impl SummaryTable {
             .map(|_| MethodSummary::default())
             .collect();
 
-        for level in &dag.levels {
-            if threads <= 1 || level.len() <= 1 {
-                for &comp in level {
-                    let (solved, rounds) =
-                        distill_component(program, &flow, &dag, comp, &summaries);
-                    stats.max_rounds = stats.max_rounds.max(rounds);
-                    for (m, s) in solved {
-                        summaries[m] = s;
-                    }
-                }
-            } else {
-                // Deterministic fan-out: chunk the level's components round
-                // robin, join in thread order, merge in component order.
-                let workers = threads.min(level.len());
-                let mut results: Vec<SolvedComponent> = std::thread::scope(|scope| {
-                    let summaries = &summaries;
-                    let flow = &flow;
-                    let dag = &dag;
-                    let handles: Vec<_> = (0..workers)
-                        .map(|w| {
-                            let mine: Vec<u32> =
-                                level.iter().copied().skip(w).step_by(workers).collect();
-                            scope.spawn(move || {
-                                mine.into_iter()
-                                    .map(|comp| {
-                                        let (solved, rounds) =
-                                            distill_component(program, flow, dag, comp, summaries);
-                                        (comp, solved, rounds)
-                                    })
-                                    .collect::<Vec<_>>()
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .flat_map(|h| h.join().expect("summary worker panicked"))
-                        .collect()
-                });
-                results.sort_by_key(|&(comp, _, _)| comp);
-                for (_, solved, rounds) in results {
-                    stats.max_rounds = stats.max_rounds.max(rounds);
-                    for (m, s) in solved {
-                        summaries[m] = s;
-                    }
-                }
+        for &comp in dag.levels.iter().flatten() {
+            let (solved, rounds) = distill_component(program, &flow, &dag, comp, &summaries);
+            stats.max_rounds = stats.max_rounds.max(rounds);
+            for (m, s) in solved {
+                summaries[m] = s;
             }
         }
 
@@ -257,19 +187,16 @@ impl SummaryTable {
         SummaryTable { summaries, stats }
     }
 
-    /// Like [`SummaryTable::compute_parallel`], wrapped in a
-    /// `summaries-pass` telemetry span with the pass's deterministic
-    /// counters (all pure functions of the program — and the table is
-    /// thread-count-invariant — so the counter stream stays reproducible
-    /// at any `threads`).
+    /// Like [`SummaryTable::compute`], wrapped in a `summaries-pass`
+    /// telemetry span with the pass's deterministic counters (all pure
+    /// functions of the program).
     pub fn compute_traced(
         program: &Program,
         hierarchy: &ClassHierarchy,
-        threads: usize,
         telemetry: &TelemetryHandle,
     ) -> SummaryTable {
         let span = crate::telemetry::span_opt(telemetry, "summaries-pass");
-        let table = SummaryTable::compute_parallel(program, hierarchy, threads);
+        let table = SummaryTable::compute(program, hierarchy);
         if let Some(span) = &span {
             span.arg("distilled", table.stats.distilled as u64);
             span.arg("atoms", table.stats.atoms() as u64);
@@ -696,22 +623,6 @@ mod tests {
         let t = table(&p);
         assert!(t.distilled_atoms(fa).is_some());
         assert_eq!(t.distilled_atoms(m), None);
-    }
-
-    #[test]
-    fn parallel_table_is_byte_identical() {
-        for seed in 0..24u64 {
-            let p = rudoop_ir::arbitrary::generate(
-                &rudoop_ir::arbitrary::ProgramShape::default(),
-                seed,
-            );
-            let h = ClassHierarchy::new(&p);
-            let seq = SummaryTable::compute(&p, &h).render(&p);
-            for threads in [2, 4, 8] {
-                let par = SummaryTable::compute_parallel(&p, &h, threads).render(&p);
-                assert_eq!(seq, par, "seed {seed} threads {threads}");
-            }
-        }
     }
 
     #[test]

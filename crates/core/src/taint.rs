@@ -237,7 +237,7 @@ pub fn analyze_taint(
 /// span with a nested `taint-bfs` span covering the per-label searches, and
 /// the propagation-graph shape plus the leak/sanitizer tallies land in the
 /// deterministic counter stream (all are computed from canonicalized ids,
-/// so they are engine- and thread-count-invariant). Passing `&None` is
+/// so they do not depend on context interning order). Passing `&None` is
 /// equivalent to the untraced entry point.
 pub fn analyze_taint_traced(
     program: &Program,
@@ -748,13 +748,12 @@ pub(crate) fn json_escape(s: &str) -> String {
 
 /// Content-based renumbering of the context ids used by a dump.
 ///
-/// The sharded engine reaches the same fixpoint as the sequential solver
-/// but may intern contexts in a different order, so raw [`CtxId`] /
-/// [`HCtxId`] values are not stable across engines. Everything
+/// Raw [`CtxId`] / [`HCtxId`] values record the order in which the solver
+/// interned contexts, not what the contexts are. Everything
 /// order-sensitive in taint — sorting the dump, graph node interning, BFS
 /// tie-breaks when several shortest traces exist — runs on canonical ids:
-/// contexts ranked by their element sequences, which *are* engine-
-/// invariant. Original ids survive only for rendering trace lines.
+/// contexts ranked by their element sequences, which do not depend on
+/// interning order. Original ids survive only for rendering trace lines.
 pub(crate) struct CtxCanon {
     ctx_rank: FxHashMap<CtxId, CtxId>,
     hctx_rank: FxHashMap<HCtxId, HCtxId>,
@@ -952,7 +951,7 @@ mod tests {
         assert!(json.contains("\"leaks\": []"));
     }
 
-    /// Renumbering the context tables (as a different solver engine might)
+    /// Renumbering the context tables (as a different interning order would)
     /// must not change leaks, traces, or sanitizer observations: taint
     /// canonicalizes context ids by content before anything order-sensitive.
     #[test]
@@ -1042,7 +1041,10 @@ mod tests {
         assert_eq!(a.leak_set(), b.leak_set());
         assert_eq!(a.sanitizer_calls, b.sanitizer_calls);
         for (la, lb) in a.leaks.iter().zip(&b.leaks) {
-            assert_eq!(la.trace, lb.trace, "traces must be engine-invariant");
+            assert_eq!(
+                la.trace, lb.trace,
+                "traces must not depend on context interning order"
+            );
             assert_eq!(la.heap_steps, lb.heap_steps);
             assert_eq!(la.merged_heap_step, lb.merged_heap_step);
         }

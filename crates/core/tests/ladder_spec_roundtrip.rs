@@ -3,10 +3,11 @@
 //! `LadderSpec::spec` documents itself as "accepted back by parse", so
 //! that contract gets a seeded property test: generated specs survive a
 //! `parse → spec` round trip byte-for-byte, and a second `parse` of the
-//! rendered form is a fixpoint. Duplicate and conflicting `@tN` thread
-//! overrides must be rejected with an error naming both character
-//! spans — never resolved last-wins, which would silently mask a typo.
-
+//! rendered form is a fixpoint. A seeded mutation fuzz holds every other
+//! input to the same contract: it either fails with an error or parses to
+//! a ladder whose spec is a fixpoint, and it never panics. A rung carries
+//! no suffix: `2objH@t4` is an unknown flavor, rejected with the rung and
+//! its character span.
 use rudoop_core::driver::Flavor;
 use rudoop_core::supervisor::{LadderSpec, RungSpec};
 use rudoop_ir::rng::SplitMix64;
@@ -23,23 +24,19 @@ const FLAVORS: [&str; 9] = [
     "S2objH",
 ];
 
-/// One random rung spec string (flavor, optional heuristic, optional
-/// thread override) in its canonical rendering.
+/// One random rung spec string (flavor, optional heuristic) in its
+/// canonical rendering.
 fn gen_rung(rng: &mut SplitMix64) -> String {
     let flavor = FLAVORS[rng.below(FLAVORS.len())];
     // The three context-free rungs never take an introspective prefix:
     // there is nothing for a heuristic to refine.
     let context_free = matches!(flavor, "insens" | "cutshortcut" | "summaries");
-    let mut spec = if !context_free && rng.ratio(1, 2) {
+    if !context_free && rng.ratio(1, 2) {
         let letter = if rng.ratio(1, 2) { 'A' } else { 'B' };
         format!("intro{letter}:{flavor}")
     } else {
         flavor.to_owned()
-    };
-    if rng.ratio(3, 10) {
-        spec.push_str(&format!("@t{}", rng.range(1, 17)));
     }
-    spec
 }
 
 #[test]
@@ -81,8 +78,8 @@ fn single_rungs_round_trip() {
 
 #[test]
 fn whitespace_and_canonical_ladders_still_parse() {
-    let parsed = LadderSpec::parse(" 2objH , introB:2objH@t4 ,insens").expect("parses");
-    assert_eq!(parsed.spec(), "2objH,introB:2objH@t4,insens");
+    let parsed = LadderSpec::parse(" 2objH , introB:2objH ,insens").expect("parses");
+    assert_eq!(parsed.spec(), "2objH,introB:2objH,insens");
     assert_eq!(
         LadderSpec::parse("default").expect("default parses").spec(),
         LadderSpec::default_for(Flavor::OBJ2H).spec()
@@ -90,110 +87,49 @@ fn whitespace_and_canonical_ladders_still_parse() {
 }
 
 #[test]
-fn duplicate_thread_override_is_a_spanned_error() {
-    let err = RungSpec::parse("2objH@t4@t4").expect_err("duplicate must not parse");
+fn thread_suffix_is_an_unknown_flavor() {
+    let err = RungSpec::parse("2objH@t4").expect_err("a suffixed rung must not parse");
+    assert!(err.contains("unknown flavor \"2objH@t4\""), "{err}");
+    assert!(err.contains("in rung \"2objH@t4\""), "{err}");
+    let err = RungSpec::parse("introB:2objH@t4").expect_err("a suffixed rung must not parse");
+    assert!(err.contains("in rung \"introB:2objH@t4\""), "{err}");
+    let err = LadderSpec::parse("2objH,insens@t2").expect_err("a suffixed rung must not parse");
     assert!(
-        err.contains("duplicate thread override \"@t4\" at chars 8..11"),
+        err.starts_with("rung 1 at chars 6..15 of ladder spec:"),
         "unexpected error: {err}"
     );
+    assert!(err.contains("in rung \"insens@t2\""), "{err}");
+    let err = LadderSpec::parse("2objH@t4").expect_err("a suffixed lone rung must not parse");
     assert!(
-        err.contains("already set at chars 5..8"),
-        "error does not name the first suffix: {err}"
-    );
-}
-
-#[test]
-fn conflicting_thread_override_is_a_spanned_error() {
-    let err = RungSpec::parse("2objH@t4@t8").expect_err("conflict must not parse");
-    assert!(
-        err.contains("conflicting thread override \"@t8\" at chars 8..11"),
+        err.starts_with("rung 0 at chars 0..8 of ladder spec:"),
         "unexpected error: {err}"
     );
-    assert!(
-        err.contains("conflicts with \"@t4\" at chars 5..8"),
-        "error does not name the first suffix: {err}"
-    );
-}
-
-#[test]
-fn malformed_thread_override_is_a_spanned_error() {
-    let err = RungSpec::parse("2objH@x4").expect_err("malformed must not parse");
-    assert!(
-        err.contains("malformed thread override \"@x4\" at chars 5..8"),
-        "unexpected error: {err}"
-    );
-    let err = RungSpec::parse("2objH@t0").expect_err("zero threads must not parse");
-    assert!(err.contains("@t0"), "unexpected error: {err}");
 }
 
 #[test]
 fn ladder_errors_carry_absolute_offsets() {
-    let err = LadderSpec::parse("2objH, insens@t2@t3 ,1objH").expect_err("conflict inside");
+    let err = LadderSpec::parse("2objH, insens@t2@t3 ,1objH").expect_err("bad rung inside");
     assert!(
         err.starts_with("rung 1 at chars 7..19 of ladder spec:"),
         "unexpected error: {err}"
     );
-    assert!(err.contains("conflicting thread override"), "{err}");
+    assert!(err.contains("unknown flavor \"insens@t2@t3\""), "{err}");
 }
 
 #[test]
-fn cutshortcut_rungs_round_trip_with_thread_overrides() {
-    let parsed = LadderSpec::parse("2objH,cutshortcut@t2,insens").expect("parses");
-    assert_eq!(parsed.spec(), "2objH,cutshortcut@t2,insens");
+fn cutshortcut_rungs_round_trip() {
+    let parsed = LadderSpec::parse("2objH,cutshortcut,insens").expect("parses");
+    assert_eq!(parsed.spec(), "2objH,cutshortcut,insens");
     let rung = RungSpec::parse("cutshortcut").expect("bare rung parses");
     assert_eq!(rung.spec(), "cutshortcut");
 }
 
 #[test]
-fn cutshortcut_thread_override_errors_are_spanned() {
-    let err = RungSpec::parse("cutshortcut@t2@t2").expect_err("duplicate must not parse");
-    assert!(
-        err.contains("duplicate thread override \"@t2\" at chars 14..17"),
-        "unexpected error: {err}"
-    );
-    assert!(
-        err.contains("already set at chars 11..14"),
-        "error does not name the first suffix: {err}"
-    );
-    let err = RungSpec::parse("cutshortcut@t2@t5").expect_err("conflict must not parse");
-    assert!(
-        err.contains("conflicting thread override \"@t5\" at chars 14..17"),
-        "unexpected error: {err}"
-    );
-    assert!(
-        err.contains("conflicts with \"@t2\" at chars 11..14"),
-        "error does not name the first suffix: {err}"
-    );
-}
-
-#[test]
-fn summaries_rungs_round_trip_with_thread_overrides() {
-    let parsed = LadderSpec::parse("2objH,summaries@t4,insens").expect("parses");
-    assert_eq!(parsed.spec(), "2objH,summaries@t4,insens");
+fn summaries_rungs_round_trip() {
+    let parsed = LadderSpec::parse("2objH,summaries,insens").expect("parses");
+    assert_eq!(parsed.spec(), "2objH,summaries,insens");
     let rung = RungSpec::parse("summaries").expect("bare rung parses");
     assert_eq!(rung.spec(), "summaries");
-}
-
-#[test]
-fn summaries_thread_override_errors_are_spanned() {
-    let err = RungSpec::parse("summaries@t2@t2").expect_err("duplicate must not parse");
-    assert!(
-        err.contains("duplicate thread override \"@t2\" at chars 12..15"),
-        "unexpected error: {err}"
-    );
-    assert!(
-        err.contains("already set at chars 9..12"),
-        "error does not name the first suffix: {err}"
-    );
-    let err = RungSpec::parse("summaries@t2@t5").expect_err("conflict must not parse");
-    assert!(
-        err.contains("conflicting thread override \"@t5\" at chars 12..15"),
-        "unexpected error: {err}"
-    );
-    assert!(
-        err.contains("conflicts with \"@t2\" at chars 9..12"),
-        "error does not name the first suffix: {err}"
-    );
 }
 
 #[test]
@@ -205,5 +141,83 @@ fn unknown_rung_flavor_error_lists_valid_names() {
     assert!(
         err.contains("valid flavors are insens, cutshortcut, summaries"),
         "{err}"
+    );
+}
+
+/// Characters the fuzz inserts and substitutes: the spec grammar's
+/// separators, whitespace, letters and digits of flavor names, and
+/// multi-byte characters (so char-span arithmetic meets non-ASCII input).
+const FUZZ_CHARS: [char; 24] = [
+    '@', ',', ':', ' ', '\t', 't', '0', '1', '2', '9', 'H', 'S', 'A', 'B', 'a', 'o', 'i', 'n', '-',
+    'é', '→', '★', '\u{200b}', '🦀',
+];
+
+/// The valid specs of this file, mutated by the fuzz.
+const FUZZ_SEEDS: [&str; 8] = [
+    "2objH,introB:2objH,insens",
+    " 2objH , introB:2objH ,insens",
+    "default",
+    "introA:2typeH",
+    "2objH,cutshortcut,insens",
+    "2objH,summaries,insens",
+    "S2objH,introspectiveB:1call,2callH",
+    "1objH",
+];
+
+/// One or two char-level insertions, deletions or replacements of `spec`.
+fn mutate(rng: &mut SplitMix64, spec: &str) -> String {
+    let mut chars: Vec<char> = spec.chars().collect();
+    for _ in 0..rng.range(1, 3) {
+        let at = rng.below(chars.len() + 1);
+        let c = FUZZ_CHARS[rng.below(FUZZ_CHARS.len())];
+        match rng.below(3) {
+            0 => chars.insert(at, c),
+            1 if at < chars.len() => {
+                chars.remove(at);
+            }
+            _ if at < chars.len() => chars[at] = c,
+            _ => chars.push(c),
+        }
+    }
+    chars.into_iter().collect()
+}
+
+/// Mutated specs either fail to parse or parse to a ladder whose `spec()`
+/// re-parses to the same `spec()`; none panics. 64 rounds per seed, and
+/// the mutations must land on both sides of the grammar.
+#[test]
+fn mutated_specs_fail_or_round_trip() {
+    let (mut parsed, mut rejected) = (0, 0);
+    for seed in [1u64, 7, 0x1adde5, 0xF422_F422] {
+        let mut rng = SplitMix64::new(seed);
+        for round in 0..64 {
+            let base = if rng.ratio(1, 4) {
+                gen_rung(&mut rng)
+            } else {
+                FUZZ_SEEDS[rng.below(FUZZ_SEEDS.len())].to_owned()
+            };
+            let input = mutate(&mut rng, &base);
+            let tag = format!("seed {seed} round {round}: {input:?}");
+            if let Ok(rung) = RungSpec::parse(&input) {
+                let spec = rung.spec();
+                let again = RungSpec::parse(&spec).unwrap_or_else(|e| panic!("{tag}: rung {e}"));
+                assert_eq!(again.spec(), spec, "{tag}: rung is not a fixpoint");
+            }
+            match LadderSpec::parse(&input) {
+                Ok(ladder) => {
+                    parsed += 1;
+                    let spec = ladder.spec();
+                    let again = LadderSpec::parse(&spec).unwrap_or_else(|e| {
+                        panic!("{tag}: rendered as {spec:?}, which fails: {e}")
+                    });
+                    assert_eq!(again.spec(), spec, "{tag}: not a fixpoint");
+                }
+                Err(_) => rejected += 1,
+            }
+        }
+    }
+    assert!(
+        parsed > 0 && rejected > 0,
+        "{parsed} parsed, {rejected} rejected"
     );
 }

@@ -4,30 +4,26 @@
 //! `rudoop_core::telemetry`):
 //!
 //! - the **counter stream** holds only values derived from final analysis
-//!   results, so its text rendering must be *byte-identical* across thread
-//!   counts and across repeated runs;
-//! - the **metric stream** holds topology-dependent values (per-epoch work,
-//!   routed messages, worklist drains), so it must be byte-identical across
-//!   repeated runs *at a fixed thread count* but may differ between thread
-//!   counts;
+//!   results, so its text rendering must be *byte-identical* across
+//!   repeated runs;
+//! - the **metric stream** holds engine scheduling values (worklist
+//!   drains, successor visits), which must also be byte-identical across
+//!   repeated runs;
 //! - spans, instants, and samples carry wall-clock timestamps and are never
 //!   compared.
 //!
 //! On top of that, telemetry must be *observationally inert*: a run with a
 //! recorder attached produces byte-identical results (canonical stats,
-//! projections, outcome, exit codes) to a run without one, at every thread
-//! count.
+//! projections, outcome, exit codes) to a run without one.
 
 use std::sync::Arc;
 
 use rudoop_core::driver::{analyze_flavor, Flavor};
 use rudoop_core::solver::{Budget, SolverConfig};
 use rudoop_core::supervisor::{supervise, LadderSpec, SupervisorConfig};
-use rudoop_core::{Parallelism, Telemetry, TelemetryHandle};
+use rudoop_core::{Telemetry, TelemetryHandle};
 use rudoop_ir::{ClassHierarchy, Program};
 use rudoop_workloads::dacapo;
-
-const THREADS: [usize; 4] = [1, 2, 4, 8];
 
 const FLAVORS: [(Flavor, &str); 4] = [
     (Flavor::Insensitive, "insens"),
@@ -43,63 +39,42 @@ fn workloads() -> Vec<(String, Program)> {
         .collect()
 }
 
-fn traced_config(threads: usize, tele: &TelemetryHandle) -> SolverConfig {
+fn traced_config(tele: &TelemetryHandle) -> SolverConfig {
     SolverConfig {
         budget: Budget::unlimited(),
-        parallelism: Parallelism::threads(threads),
         telemetry: tele.clone(),
         ..SolverConfig::default()
     }
 }
 
 /// Runs one flavor and returns `(counter text, metric text)`.
-fn run_traced(
-    program: &Program,
-    hierarchy: &ClassHierarchy,
-    flavor: Flavor,
-    threads: usize,
-) -> (String, String) {
+fn run_traced(program: &Program, hierarchy: &ClassHierarchy, flavor: Flavor) -> (String, String) {
     let tele: TelemetryHandle = Some(Arc::new(Telemetry::new()));
-    let result = analyze_flavor(program, hierarchy, flavor, &traced_config(threads, &tele));
+    let result = analyze_flavor(program, hierarchy, flavor, &traced_config(&tele));
     assert!(result.outcome.is_complete());
     let t = tele.as_deref().unwrap();
     (t.counter_stream_text(), t.metric_stream_text())
 }
 
-/// Counter streams are byte-identical across threads 1/2/4/8 and across
-/// repeated runs, on three workloads × all four flavors. Metric streams
-/// are byte-identical across repeated runs at each fixed thread count.
+/// Counter and metric streams are byte-identical across repeated runs,
+/// on three workloads × all four flavors.
 #[test]
-fn counter_streams_are_thread_and_run_invariant() {
+fn counter_streams_are_run_invariant() {
     for (name, program) in workloads() {
         let hierarchy = ClassHierarchy::new(&program);
         for (flavor, label) in FLAVORS {
-            let mut reference: Option<String> = None;
-            for threads in THREADS {
-                let (counters, metrics) = run_traced(&program, &hierarchy, flavor, threads);
-                assert!(
-                    !counters.is_empty(),
-                    "{name}/{label}/t{threads}: no counters recorded"
-                );
-                match &reference {
-                    None => reference = Some(counters),
-                    Some(r) => assert_eq!(
-                        r, &counters,
-                        "{name}/{label}/t{threads}: counter stream diverged from t1"
-                    ),
-                }
-                // Repeat run: both streams must reproduce exactly.
-                let (again_c, again_m) = run_traced(&program, &hierarchy, flavor, threads);
-                assert_eq!(
-                    reference.as_deref(),
-                    Some(again_c.as_str()),
-                    "{name}/{label}/t{threads}: counters differ between repeated runs"
-                );
-                assert_eq!(
-                    metrics, again_m,
-                    "{name}/{label}/t{threads}: metrics differ between repeated runs"
-                );
-            }
+            let (counters, metrics) = run_traced(&program, &hierarchy, flavor);
+            assert!(!counters.is_empty(), "{name}/{label}: no counters recorded");
+            assert!(!metrics.is_empty(), "{name}/{label}: no metrics recorded");
+            let (again_c, again_m) = run_traced(&program, &hierarchy, flavor);
+            assert_eq!(
+                counters, again_c,
+                "{name}/{label}: counters differ between repeated runs"
+            );
+            assert_eq!(
+                metrics, again_m,
+                "{name}/{label}: metrics differ between repeated runs"
+            );
         }
     }
 }
@@ -112,12 +87,7 @@ fn sequential_drain_reports_skipped_successors() {
     let program = dacapo::antlr().build();
     let hierarchy = ClassHierarchy::new(&program);
     let tele: TelemetryHandle = Some(Arc::new(Telemetry::new()));
-    analyze_flavor(
-        &program,
-        &hierarchy,
-        Flavor::OBJ2H,
-        &traced_config(1, &tele),
-    );
+    analyze_flavor(&program, &hierarchy, Flavor::OBJ2H, &traced_config(&tele));
     let metrics = tele.as_deref().unwrap().metric_stream();
     let get = |name: &str| {
         metrics
@@ -132,32 +102,28 @@ fn sequential_drain_reports_skipped_successors() {
 }
 
 /// Attaching a recorder never changes the analysis: canonical stats,
-/// projections, outcome — byte-identical on vs. off, at every thread count.
+/// projections, outcome — byte-identical on vs. off.
 #[test]
 fn telemetry_is_observationally_inert() {
     for (name, program) in workloads() {
         let hierarchy = ClassHierarchy::new(&program);
         for (flavor, label) in FLAVORS {
-            for threads in THREADS {
-                let plain =
-                    analyze_flavor(&program, &hierarchy, flavor, &traced_config(threads, &None));
-                let tele: TelemetryHandle = Some(Arc::new(Telemetry::new()));
-                let traced =
-                    analyze_flavor(&program, &hierarchy, flavor, &traced_config(threads, &tele));
-                let tag = format!("{name}/{label}/t{threads}");
-                assert_eq!(plain.outcome, traced.outcome, "{tag}: outcome");
-                assert_eq!(
-                    plain.stats.canonical(),
-                    traced.stats.canonical(),
-                    "{tag}: canonical stats"
-                );
-                assert_eq!(plain.var_pts, traced.var_pts, "{tag}: var projections");
-                assert_eq!(
-                    plain.field_pts, traced.field_pts,
-                    "{tag}: field projections"
-                );
-                assert_eq!(plain.call_targets, traced.call_targets, "{tag}: call graph");
-            }
+            let plain = analyze_flavor(&program, &hierarchy, flavor, &traced_config(&None));
+            let tele: TelemetryHandle = Some(Arc::new(Telemetry::new()));
+            let traced = analyze_flavor(&program, &hierarchy, flavor, &traced_config(&tele));
+            let tag = format!("{name}/{label}");
+            assert_eq!(plain.outcome, traced.outcome, "{tag}: outcome");
+            assert_eq!(
+                plain.stats.canonical(),
+                traced.stats.canonical(),
+                "{tag}: canonical stats"
+            );
+            assert_eq!(plain.var_pts, traced.var_pts, "{tag}: var projections");
+            assert_eq!(
+                plain.field_pts, traced.field_pts,
+                "{tag}: field projections"
+            );
+            assert_eq!(plain.call_targets, traced.call_targets, "{tag}: call graph");
         }
     }
 }
@@ -205,28 +171,6 @@ fn ladder_emits_one_rung_span_per_attempt() {
         .filter(|a| a.exhaustion.is_some())
         .count();
     assert_eq!(degraded, failed, "one degradation instant per failed rung");
-}
-
-/// The Chrome-trace sink stays valid (balanced, monotone, finite) for a
-/// parallel multi-epoch run, and carries the per-shard drain spans.
-#[test]
-fn parallel_run_trace_validates() {
-    let program = dacapo::pmd().build();
-    let hierarchy = ClassHierarchy::new(&program);
-    let tele: TelemetryHandle = Some(Arc::new(Telemetry::new()));
-    let result = analyze_flavor(
-        &program,
-        &hierarchy,
-        Flavor::OBJ2H,
-        &traced_config(4, &tele),
-    );
-    assert!(result.outcome.is_complete());
-    let t = tele.as_deref().unwrap();
-    let check = rudoop_core::validate_chrome_trace(&t.chrome_trace()).expect("trace validates");
-    assert!(check.span_names.contains("solve") || check.span_names.contains("parallel-solve"));
-    assert!(check.span_names.contains("epoch"), "epoch spans present");
-    assert!(check.span_names.contains("drain"), "per-shard drain spans");
-    assert!(check.samples > 0, "counter tracks present");
 }
 
 /// The service layer keeps the counter-stream contract: a scripted

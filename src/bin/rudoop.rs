@@ -20,9 +20,6 @@
 //!   --max-bytes <n>      per-run modeled memory budget in bytes
 //!   --timeout <secs>     per-run wall-clock deadline (watchdog-enforced
 //!                        in ladder mode)
-//!   --threads <n>        run the sharded parallel propagation engine on
-//!                        `n` worker threads (default: 1 = the sequential
-//!                        solver; results are byte-identical either way)
 //!   --filter-casts       enable assign-cast filtering
 //!   --stats              print the points-to distribution dashboard
 //!   --pts <var>          print the points-to set of Class.method::var
@@ -106,7 +103,6 @@ use rudoop::analysis::solver::{Budget, SolverConfig};
 use rudoop::analysis::supervisor::{supervise, LadderSpec, SupervisorConfig};
 use rudoop::analysis::taint::supervised_taint_traced;
 use rudoop::analysis::telemetry::span_opt;
-use rudoop::analysis::Parallelism;
 use rudoop::analysis::{
     render_supervised, PrecisionMetrics, ResultStats, Telemetry, TelemetryHandle,
 };
@@ -123,7 +119,6 @@ struct Options {
     budget: Option<u64>,
     max_bytes: Option<u64>,
     timeout: Option<Duration>,
-    threads: usize,
     json: bool,
     filter_casts: bool,
     stats: bool,
@@ -139,7 +134,7 @@ fn usage() -> ! {
         "usage: rudoop [taint|races] <program.rdp | @benchmark> [--analysis NAME] \
          [--introspective A|B] [--ladder SPEC] [--spec FILE|builtin] \
          [--format text|json] [--budget N] [--max-bytes N] \
-         [--timeout SECS] [--threads N] [--filter-casts] [--stats] \
+         [--timeout SECS] [--filter-casts] [--stats] \
          [--pts Class.method::var] [--dump] [--trace PATH] [--profile PATH] \
          [--telemetry]"
     );
@@ -159,7 +154,6 @@ fn parse_args() -> Options {
         budget: None,
         max_bytes: None,
         timeout: None,
-        threads: 1,
         json: false,
         filter_casts: false,
         stats: false,
@@ -208,14 +202,6 @@ fn parse_args() -> Options {
                     usage();
                 }
                 opts.timeout = Some(Duration::from_secs_f64(secs));
-            }
-            "--threads" => {
-                let n = args.next().unwrap_or_else(|| usage());
-                opts.threads = n.parse().unwrap_or_else(|_| usage());
-                if opts.threads == 0 {
-                    eprintln!("--threads must be at least 1");
-                    usage();
-                }
             }
             "--format" => {
                 let fmt = args.next().unwrap_or_else(|| usage());
@@ -476,7 +462,6 @@ fn main() -> ExitCode {
         filter_casts: opts.filter_casts,
         // The taint and race clients walk per-context points-to facts.
         record_contexts: opts.taint_cmd || opts.races_cmd,
-        parallelism: Parallelism::threads(opts.threads),
         telemetry: tele.clone(),
         ..SolverConfig::default()
     };

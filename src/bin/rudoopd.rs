@@ -15,7 +15,6 @@
 //!   --analysis NAME      flavor whose canonical ladder serves queries
 //!                        without an explicit ladder (default 2objH)
 //!   --ladder SPEC        default degradation ladder override
-//!   --threads N          solver threads per request (default 1)
 //!   --filter-casts       enable assign-cast filtering
 //!   --taint-spec F       taint spec file, or `builtin` for @benchmarks
 //!   --races              switch a @benchmark's concurrency battery on
@@ -48,7 +47,7 @@ use rudoop::analysis::service::protocol::DocFormat;
 use rudoop::analysis::service::server::Server;
 use rudoop::analysis::service::{QueryHandler, ServiceConfig, ServiceState};
 use rudoop::analysis::supervisor::LadderSpec;
-use rudoop::analysis::{Parallelism, PointsToResult, Telemetry, TelemetryHandle};
+use rudoop::analysis::{PointsToResult, Telemetry, TelemetryHandle};
 use rudoop::ir::{validate, ClassHierarchy, Program, TaintSpec};
 use rudoop::{LintContext, LintRegistry};
 
@@ -60,7 +59,6 @@ struct Options {
     queue: usize,
     flavor: Flavor,
     ladder: Option<LadderSpec>,
-    threads: usize,
     filter_casts: bool,
     taint_spec: Option<String>,
     races: bool,
@@ -72,7 +70,7 @@ struct Options {
 fn usage() -> ! {
     eprintln!(
         "usage: rudoopd <program.rdp | @benchmark> [--listen HOST:PORT] [--port-file PATH] \
-         [--workers N] [--queue N] [--analysis NAME] [--ladder SPEC] [--threads N] \
+         [--workers N] [--queue N] [--analysis NAME] [--ladder SPEC] \
          [--filter-casts] [--taint-spec FILE|builtin] [--races] [--inject SPEC]... \
          [--trace PATH] [--telemetry]"
     );
@@ -89,7 +87,6 @@ fn parse_args() -> Options {
         queue: 4,
         flavor: Flavor::OBJ2H,
         ladder: None,
-        threads: 1,
         filter_casts: false,
         taint_spec: None,
         races: false,
@@ -127,13 +124,6 @@ fn parse_args() -> Options {
                     eprintln!("bad ladder: {e}");
                     usage()
                 }));
-            }
-            "--threads" => {
-                opts.threads = args
-                    .next()
-                    .and_then(|n| n.parse().ok())
-                    .filter(|&n| n >= 1)
-                    .unwrap_or_else(|| usage());
             }
             "--filter-casts" => opts.filter_casts = true,
             "--taint-spec" => opts.taint_spec = Some(args.next().unwrap_or_else(|| usage())),
@@ -246,7 +236,6 @@ fn main() -> ExitCode {
         flavor: opts.flavor,
         ladder: opts.ladder.clone(),
         filter_casts: opts.filter_casts,
-        parallelism: Parallelism::threads(opts.threads),
         taint_spec,
         faults,
         telemetry: tele.clone(),

@@ -98,3 +98,32 @@ fn lint_timeout_skips_tier2_and_exits_two() {
         "{err}"
     );
 }
+
+/// Neither `--threads` nor a `@tN` rung suffix is accepted: every binary
+/// rejects the flag as an unexpected argument, and the suffix is an
+/// unknown flavor.
+#[test]
+fn thread_flag_and_rung_suffix_are_rejected() {
+    for bin in [
+        env!("CARGO_BIN_EXE_rudoop"),
+        env!("CARGO_BIN_EXE_rudoop-lint"),
+        env!("CARGO_BIN_EXE_rudoopd"),
+    ] {
+        let out = Command::new(bin)
+            .args(["@antlr", "--threads", "2"])
+            .current_dir(env!("CARGO_MANIFEST_DIR"))
+            .output()
+            .expect("failed to run binary");
+        assert_eq!(out.status.code(), Some(2), "{bin}: {out:?}");
+        let text = stderr(&out);
+        assert!(
+            text.contains("unexpected argument \"--threads\""),
+            "{bin}: {text}"
+        );
+    }
+    let out = rudoop(&["@antlr", "--ladder", "2objH,insens@t2"]);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let text = stderr(&out);
+    assert!(text.contains("rung 1 at chars 6..15"), "{text}");
+    assert!(text.contains("unknown flavor \"insens@t2\""), "{text}");
+}
