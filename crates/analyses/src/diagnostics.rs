@@ -10,6 +10,7 @@
 
 use std::fmt;
 
+use rudoop_core::json::escape;
 use rudoop_ir::{Idx, MethodId, Program, Span, ValidateError};
 
 /// How serious a diagnostic is.
@@ -147,23 +148,6 @@ pub fn render(program: &Program, diags: &[Diagnostic]) -> String {
     out
 }
 
-/// Escapes a string for embedding in a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Renders a batch of diagnostics as a JSON array, one object per
 /// diagnostic in the same stable order as [`render`].
 ///
@@ -187,21 +171,17 @@ pub fn render_json(program: &Program, diags: &[Diagnostic]) -> String {
             "null".to_owned()
         };
         let location = match d.location(program) {
-            Some(loc) => format!("\"{}\"", json_escape(&loc)),
+            Some(loc) => escape(&loc),
             None => "null".to_owned(),
         };
-        let notes: Vec<String> = d
-            .notes
-            .iter()
-            .map(|n| format!("\"{}\"", json_escape(n)))
-            .collect();
+        let notes: Vec<String> = d.notes.iter().map(|n| escape(n)).collect();
         out.push_str(&format!(
-            "\n  {{\"code\":\"{}\",\"level\":\"{}\",\"span\":{},\"message\":\"{}\",\
+            "\n  {{\"code\":\"{}\",\"level\":\"{}\",\"span\":{},\"message\":{},\
              \"location\":{},\"notes\":[{}]}}",
             d.code,
             d.severity,
             span,
-            json_escape(&d.message),
+            escape(&d.message),
             location,
             notes.join(",")
         ));

@@ -1,0 +1,356 @@
+//! The substrate the context-sensitive clients share.
+//!
+//! The taint client ([`crate::taint`]) and the race client
+//! ([`crate::races`]) both consume the solver's context-sensitive dump,
+//! and both must stay independent of the order in which the solver
+//! interned contexts. This module holds what they have in common:
+//!
+//! - `CsFacts`: the completeness and dump checks, then the dump's `vpt`,
+//!   `reachable` and `call_graph` relations over content-ranked context
+//!   ids, sorted and deduplicated;
+//! - [`ClientError`]: why a client could not run;
+//! - [`Supervised`]: a client's outcome under the supervisor's exit
+//!   contract (analyzed on a completed rung, or skipped);
+//! - `span_json` and `push_json_array`: the JSON form of an
+//!   instruction's source span and of a report's top-level arrays.
+//!
+//! Each client keeps only its own algorithm and rendering; a `Client`
+//! supplies the nouns that appear in errors, skip reasons and telemetry.
+
+use std::fmt;
+
+use rudoop_ir::{AllocId, Instruction, InvokeId, MethodId, Program, VarId};
+
+use crate::context::{CtxId, CtxTables, HCtxId};
+use crate::hash::{FxHashMap, FxHashSet};
+use crate::solver::{CsDump, PointsToResult};
+use crate::supervisor::SupervisedRun;
+use crate::telemetry::TelemetryHandle;
+
+/// How a context-sensitive client names itself in reports.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Client {
+    /// The telemetry instant emitted when the client is skipped.
+    skipped_instant: &'static str,
+    /// What the client does, in prose (`taint`, `race detection`).
+    activity: &'static str,
+    /// What it reports, singular (`leak`, `race`).
+    finding: &'static str,
+}
+
+impl Client {
+    /// The taint client.
+    pub(crate) const TAINT: Client = Client {
+        skipped_instant: "taint-skipped",
+        activity: "taint",
+        finding: "leak",
+    };
+    /// The data-race client.
+    pub(crate) const RACES: Client = Client {
+        skipped_instant: "races-skipped",
+        activity: "race detection",
+        finding: "race",
+    };
+}
+
+/// Why a context-sensitive client could not run on a points-to result.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ClientError {
+    /// The result carries no context-sensitive dump (`record_contexts` was
+    /// off).
+    MissingContextDump,
+    /// The points-to run did not complete; a client over partial facts
+    /// would under-report.
+    IncompleteAnalysis {
+        /// The `analysis` name of the incomplete run.
+        analysis: String,
+        /// What the client would under-report (`leak`, `race`).
+        finding: &'static str,
+    },
+}
+
+impl fmt::Display for ClientError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ClientError::MissingContextDump => f.write_str(
+                "points-to result has no context-sensitive dump (enable record_contexts)",
+            ),
+            ClientError::IncompleteAnalysis { analysis, finding } => write!(
+                f,
+                "points-to run {analysis:?} is incomplete; refusing to report a partial \
+                 {finding} list"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for ClientError {}
+
+/// The outcome of running a client under the supervisor's exit contract.
+#[derive(Debug, Clone)]
+pub enum Supervised<T> {
+    /// The client ran on a *complete* (possibly degraded-but-sound) rung
+    /// result.
+    Analyzed(T),
+    /// No complete rung result was available; the client was skipped
+    /// rather than reporting a partial list as if it were complete.
+    Skipped {
+        /// Human-readable explanation for the report.
+        reason: String,
+    },
+}
+
+impl<T> Supervised<T> {
+    /// The analyzed result, when the client ran.
+    pub fn as_analyzed(&self) -> Option<&T> {
+        match self {
+            Supervised::Analyzed(t) => Some(t),
+            Supervised::Skipped { .. } => None,
+        }
+    }
+}
+
+/// Runs `analyze` over the outcome of a supervised ladder run, honoring the
+/// degradation contract: a completed rung (even a degraded one) is a sound
+/// points-to abstraction and the client runs on it; an exhausted ladder
+/// yields [`Supervised::Skipped`], because salvaged partial facts would
+/// make a partial list masquerade as a complete one. A skip emits the
+/// client's `*-skipped` instant.
+pub(crate) fn supervised<T>(
+    client: Client,
+    run: &SupervisedRun,
+    tele: &TelemetryHandle,
+    analyze: impl FnOnce(&PointsToResult) -> Result<T, ClientError>,
+) -> Supervised<T> {
+    let outcome = match &run.result {
+        Some(result) => match analyze(result) {
+            Ok(t) => Supervised::Analyzed(t),
+            Err(e) => Supervised::Skipped {
+                reason: e.to_string(),
+            },
+        },
+        None => Supervised::Skipped {
+            reason: format!(
+                "all {} ladder rung(s) exhausted; points-to facts are partial and {} \
+                 would under-report {}s",
+                run.attempts.len(),
+                client.activity,
+                client.finding
+            ),
+        },
+    };
+    if let (Some(t), Supervised::Skipped { reason }) = (tele.as_deref(), &outcome) {
+        t.instant(
+            client.skipped_instant,
+            vec![("reason".into(), reason.clone())],
+        );
+    }
+    outcome
+}
+
+/// A complete points-to result's context-sensitive relations over
+/// canonical context ids, as every client consumes them.
+pub(crate) struct CsFacts<'a> {
+    canon: CtxCanon,
+    tables: &'a CtxTables,
+    /// Points-to set of each `(variable, context)`, sorted and deduplicated.
+    pub vpt: FxHashMap<(VarId, CtxId), Vec<(AllocId, HCtxId)>>,
+    /// Reachable `(method, context)` pairs, sorted and deduplicated.
+    pub reachable: Vec<(MethodId, CtxId)>,
+    /// Resolved call edges `(site, caller context, callee, callee
+    /// context)`, sorted and deduplicated.
+    pub call_graph: Vec<(InvokeId, CtxId, MethodId, CtxId)>,
+}
+
+impl<'a> CsFacts<'a> {
+    /// Checks that `pts` is complete and carries a context-sensitive dump,
+    /// then canonicalizes the dump's relations.
+    ///
+    /// # Errors
+    ///
+    /// [`ClientError::IncompleteAnalysis`] when the run was cut short,
+    /// [`ClientError::MissingContextDump`] without a dump.
+    pub(crate) fn build(pts: &'a PointsToResult, client: Client) -> Result<Self, ClientError> {
+        if !pts.outcome.is_complete() {
+            return Err(ClientError::IncompleteAnalysis {
+                analysis: pts.analysis.clone(),
+                finding: client.finding,
+            });
+        }
+        let dump = pts
+            .cs_dump
+            .as_ref()
+            .ok_or(ClientError::MissingContextDump)?;
+        let canon = CtxCanon::build(dump, &pts.tables);
+
+        let mut vpt: FxHashMap<(VarId, CtxId), Vec<(AllocId, HCtxId)>> = FxHashMap::default();
+        for &(var, ctx, heap, hctx) in &dump.var_points_to {
+            vpt.entry((var, canon.ctx(ctx)))
+                .or_default()
+                .push((heap, canon.hctx(hctx)));
+        }
+        for objs in vpt.values_mut() {
+            objs.sort_unstable();
+            objs.dedup();
+        }
+        let mut reachable: Vec<(MethodId, CtxId)> = dump
+            .reachable
+            .iter()
+            .map(|&(m, c)| (m, canon.ctx(c)))
+            .collect();
+        reachable.sort_unstable();
+        reachable.dedup();
+        let mut call_graph: Vec<(InvokeId, CtxId, MethodId, CtxId)> = dump
+            .call_graph
+            .iter()
+            .map(|&(i, cc, m, ec)| (i, canon.ctx(cc), m, canon.ctx(ec)))
+            .collect();
+        call_graph.sort_unstable();
+        call_graph.dedup();
+
+        Ok(CsFacts {
+            canon,
+            tables: &pts.tables,
+            vpt,
+            reachable,
+            call_graph,
+        })
+    }
+
+    /// Whether canonical context `ctx` is the empty context.
+    pub(crate) fn ctx_is_empty(&self, ctx: CtxId) -> bool {
+        self.tables.ctx_elems(self.canon.orig_ctx(ctx)).is_empty()
+    }
+
+    /// Renders canonical context `ctx` as the solver's tables print it.
+    pub(crate) fn display_ctx(&self, ctx: CtxId, program: &Program) -> String {
+        self.tables.display_ctx(self.canon.orig_ctx(ctx), program)
+    }
+
+    /// The elements of canonical heap context `hctx`.
+    pub(crate) fn hctx_elems(&self, hctx: HCtxId) -> &[crate::context::ContextElem] {
+        self.tables.hctx_elems(self.canon.orig_hctx(hctx))
+    }
+}
+
+/// Content-based renumbering of the context ids used by a dump.
+///
+/// Raw [`CtxId`] / [`HCtxId`] values record the order in which the solver
+/// interned contexts, not what the contexts are. Everything
+/// order-sensitive in a client (sorting the dump, graph node interning,
+/// BFS tie-breaks when several shortest traces exist) runs on canonical
+/// ids: contexts ranked by their element sequences, which do not depend on
+/// interning order. Original ids survive only for rendering.
+struct CtxCanon {
+    ctx_rank: FxHashMap<CtxId, CtxId>,
+    hctx_rank: FxHashMap<HCtxId, HCtxId>,
+    ctx_orig: Vec<CtxId>,
+    hctx_orig: Vec<HCtxId>,
+}
+
+impl CtxCanon {
+    fn build(dump: &CsDump, tables: &CtxTables) -> Self {
+        let mut ctxs: FxHashSet<CtxId> = FxHashSet::default();
+        let mut hctxs: FxHashSet<HCtxId> = FxHashSet::default();
+        for &(_, ctx, _, hctx) in &dump.var_points_to {
+            ctxs.insert(ctx);
+            hctxs.insert(hctx);
+        }
+        for &(_, caller, _, callee) in &dump.call_graph {
+            ctxs.insert(caller);
+            ctxs.insert(callee);
+        }
+        for &(_, ctx) in &dump.reachable {
+            ctxs.insert(ctx);
+        }
+
+        // Interning deduplicates, so element sequences are unique per id
+        // and sorting by contents is a total order.
+        let mut ctx_orig: Vec<CtxId> = ctxs.into_iter().collect();
+        ctx_orig.sort_unstable_by(|&a, &b| tables.ctx_elems(a).cmp(tables.ctx_elems(b)));
+        let mut hctx_orig: Vec<HCtxId> = hctxs.into_iter().collect();
+        hctx_orig.sort_unstable_by(|&a, &b| tables.hctx_elems(a).cmp(tables.hctx_elems(b)));
+
+        let ctx_rank = ctx_orig
+            .iter()
+            .enumerate()
+            .map(|(rank, &orig)| (orig, CtxId(rank as u32)))
+            .collect();
+        let hctx_rank = hctx_orig
+            .iter()
+            .enumerate()
+            .map(|(rank, &orig)| (orig, HCtxId(rank as u32)))
+            .collect();
+        CtxCanon {
+            ctx_rank,
+            hctx_rank,
+            ctx_orig,
+            hctx_orig,
+        }
+    }
+
+    fn ctx(&self, id: CtxId) -> CtxId {
+        self.ctx_rank[&id]
+    }
+
+    fn hctx(&self, id: HCtxId) -> HCtxId {
+        self.hctx_rank[&id]
+    }
+
+    fn orig_ctx(&self, canonical: CtxId) -> CtxId {
+        self.ctx_orig[canonical.0 as usize]
+    }
+
+    fn orig_hctx(&self, canonical: HCtxId) -> HCtxId {
+        self.hctx_orig[canonical.0 as usize]
+    }
+}
+
+/// Where call site `invo` sits: its method and the body index of its
+/// `call`/`spawn` instruction (one past the body when there is none, an
+/// index whose span is unknown).
+pub(crate) fn invoke_site(program: &Program, invo: InvokeId) -> (MethodId, usize) {
+    let method = program.invokes[invo].method;
+    let body = &program.methods[method].body;
+    let index = body
+        .iter()
+        .position(|instr| {
+            matches!(
+                *instr,
+                Instruction::Call { invoke } | Instruction::Spawn { invoke } if invoke == invo
+            )
+        })
+        .unwrap_or(body.len());
+    (method, index)
+}
+
+/// Appends the top-level report key `key` holding `items`, one per line:
+/// `"key": []` when empty, else the items indented under the key and the
+/// closing bracket on its own line; then `,` unless the key is `last`.
+pub(crate) fn push_json_array(
+    out: &mut String,
+    key: &str,
+    items: impl IntoIterator<Item = String>,
+    last: bool,
+) {
+    out.push_str(&format!("  \"{key}\": ["));
+    let mut empty = true;
+    for item in items {
+        out.push_str(if empty { "\n    " } else { ",\n    " });
+        out.push_str(&item);
+        empty = false;
+    }
+    out.push_str(if empty { "]" } else { "\n  ]" });
+    out.push_str(if last { "\n" } else { ",\n" });
+}
+
+/// The source span of body instruction `index` of `method` as a JSON
+/// value: `"line:col"`, or `null` when unknown.
+pub(crate) fn span_json(program: &Program, method: MethodId, index: usize) -> String {
+    let span = program.methods[method].span_of(index);
+    if span.is_known() {
+        format!("\"{span}\"")
+    } else {
+        "null".to_owned()
+    }
+}

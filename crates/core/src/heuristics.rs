@@ -142,189 +142,6 @@ impl RefinementHeuristic for HeuristicB {
     }
 }
 
-/// Which of the six §3 metrics a [`CustomHeuristic`] rule reads.
-///
-/// The paper's point is that the metrics "can vary in sophistication but
-/// all of them attempt to estimate the cost" and that their value lies in
-/// "simplicity and ease of composition". [`CustomHeuristic`] makes that
-/// composition a first-class API: build your own heuristic from metric
-/// cutoffs and products, like Heuristics A and B are built from theirs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Metric {
-    /// #1 — argument in-flow of an invocation site.
-    InFlow,
-    /// #2 — a method's total points-to volume.
-    MethodTotalPts,
-    /// #2 (variant) — a method's max var points-to.
-    MethodMaxVarPts,
-    /// #3 — an object's max field points-to.
-    ObjMaxFieldPts,
-    /// #3 (variant) — an object's total field points-to.
-    ObjTotalFieldPts,
-    /// #4 — a method's max var-field points-to.
-    MethodMaxVarFieldPts,
-    /// #5 — an object's pointed-by-vars.
-    PointedByVars,
-    /// #6 — an object's pointed-by-objs.
-    PointedByObjs,
-}
-
-impl Metric {
-    fn of_invoke(self, m: &IntrospectionMetrics, i: rudoop_ir::InvokeId) -> Option<u64> {
-        match self {
-            Metric::InFlow => Some(u64::from(m.in_flow[i])),
-            _ => None,
-        }
-    }
-    fn of_method(self, m: &IntrospectionMetrics, id: rudoop_ir::MethodId) -> Option<u64> {
-        match self {
-            Metric::MethodTotalPts => Some(u64::from(m.method_total_pts[id])),
-            Metric::MethodMaxVarPts => Some(u64::from(m.method_max_var_pts[id])),
-            Metric::MethodMaxVarFieldPts => Some(u64::from(m.method_max_var_field_pts[id])),
-            _ => None,
-        }
-    }
-    fn of_object(self, m: &IntrospectionMetrics, id: rudoop_ir::AllocId) -> Option<u64> {
-        match self {
-            Metric::ObjMaxFieldPts => Some(u64::from(m.obj_max_field_pts[id])),
-            Metric::ObjTotalFieldPts => Some(u64::from(m.obj_total_field_pts[id])),
-            Metric::PointedByVars => Some(u64::from(m.pointed_by_vars[id])),
-            Metric::PointedByObjs => Some(u64::from(m.pointed_by_objs[id])),
-            _ => None,
-        }
-    }
-}
-
-/// One exclusion rule of a [`CustomHeuristic`]: exclude the element when
-/// the metric expression exceeds the cutoff.
-#[derive(Debug, Clone, Copy)]
-enum Rule {
-    Single(Metric, u64),
-    Product(Metric, Metric, u64),
-}
-
-impl Rule {
-    fn fires(self, value: impl Fn(Metric) -> Option<u64>) -> bool {
-        match self {
-            Rule::Single(m, cutoff) => value(m).map(|v| v > cutoff).unwrap_or(false),
-            Rule::Product(a, b, cutoff) => match (value(a), value(b)) {
-                (Some(x), Some(y)) => x.saturating_mul(y) > cutoff,
-                _ => false,
-            },
-        }
-    }
-}
-
-/// A user-composed refinement heuristic: any number of exclusion rules
-/// over the §3 metrics (single cutoffs or pairwise products), applied in
-/// complement form like Heuristics A and B.
-///
-/// # Examples
-///
-/// Heuristic B, rebuilt from parts:
-///
-/// ```
-/// use rudoop_core::heuristics::{CustomHeuristic, Metric};
-///
-/// use rudoop_core::heuristics::RefinementHeuristic as _;
-///
-/// let b = CustomHeuristic::new("MyB")
-///     .exclude_methods_when(Metric::MethodTotalPts, 10_000)
-///     .exclude_objects_when_product(
-///         Metric::ObjTotalFieldPts,
-///         Metric::PointedByVars,
-///         10_000,
-///     );
-/// assert_eq!(b.label(), "MyB");
-/// ```
-#[derive(Debug, Clone)]
-pub struct CustomHeuristic {
-    label: String,
-    object_rules: Vec<Rule>,
-    invoke_rules: Vec<Rule>,
-    method_rules: Vec<Rule>,
-}
-
-impl CustomHeuristic {
-    /// An empty heuristic (refines everything) named `label`.
-    pub fn new(label: &str) -> Self {
-        CustomHeuristic {
-            label: label.to_owned(),
-            object_rules: Vec::new(),
-            invoke_rules: Vec::new(),
-            method_rules: Vec::new(),
-        }
-    }
-
-    /// Excludes allocation sites whose `metric` exceeds `cutoff`.
-    pub fn exclude_objects_when(mut self, metric: Metric, cutoff: u64) -> Self {
-        self.object_rules.push(Rule::Single(metric, cutoff));
-        self
-    }
-
-    /// Excludes allocation sites whose `a × b` product exceeds `cutoff`
-    /// (the paper's "total potential for weighing down the analysis").
-    pub fn exclude_objects_when_product(mut self, a: Metric, b: Metric, cutoff: u64) -> Self {
-        self.object_rules.push(Rule::Product(a, b, cutoff));
-        self
-    }
-
-    /// Excludes invocation sites whose `metric` exceeds `cutoff`.
-    pub fn exclude_invokes_when(mut self, metric: Metric, cutoff: u64) -> Self {
-        self.invoke_rules.push(Rule::Single(metric, cutoff));
-        self
-    }
-
-    /// Excludes target methods whose `metric` exceeds `cutoff`.
-    pub fn exclude_methods_when(mut self, metric: Metric, cutoff: u64) -> Self {
-        self.method_rules.push(Rule::Single(metric, cutoff));
-        self
-    }
-}
-
-impl RefinementHeuristic for CustomHeuristic {
-    fn label(&self) -> &str {
-        &self.label
-    }
-
-    fn select(
-        &self,
-        program: &Program,
-        metrics: &IntrospectionMetrics,
-        _insens: &PointsToResult,
-    ) -> RefinementSet {
-        let mut set = RefinementSet::refine_all(program);
-        for alloc in program.allocs.ids() {
-            if self
-                .object_rules
-                .iter()
-                .any(|r| r.fires(|m| m.of_object(metrics, alloc)))
-            {
-                set.no_refine_objects.insert(alloc);
-            }
-        }
-        for invoke in program.invokes.ids() {
-            if self
-                .invoke_rules
-                .iter()
-                .any(|r| r.fires(|m| m.of_invoke(metrics, invoke)))
-            {
-                set.no_refine_invokes.insert(invoke);
-            }
-        }
-        for method in program.methods.ids() {
-            if self
-                .method_rules
-                .iter()
-                .any(|r| r.fires(|m| m.of_method(metrics, method)))
-            {
-                set.no_refine_methods.insert(method);
-            }
-        }
-        set
-    }
-}
-
 /// Percentages for the paper's Figure 4: how many call sites and objects
 /// were selected to *not* be refined, relative to the reachable program.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -527,64 +344,5 @@ mod tests {
     fn labels_are_stable() {
         assert_eq!(HeuristicA::default().label(), "IntroA");
         assert_eq!(HeuristicB::default().label(), "IntroB");
-    }
-
-    #[test]
-    fn custom_heuristic_reproduces_heuristic_a() {
-        let p = hub_program(12);
-        let builtin = HeuristicA {
-            k: 5,
-            l: 100,
-            m: 200,
-        };
-        let custom = CustomHeuristic::new("A-rebuilt")
-            .exclude_objects_when(Metric::PointedByVars, 5)
-            .exclude_invokes_when(Metric::InFlow, 100)
-            .exclude_methods_when(Metric::MethodMaxVarFieldPts, 200);
-        let (sa, insens) = select(&p, &builtin);
-        let metrics = IntrospectionMetrics::compute(&p, &insens);
-        let sc = custom.select(&p, &metrics, &insens);
-        for a in p.allocs.ids() {
-            assert_eq!(sa.object_refined(a), sc.object_refined(a), "{a:?}");
-        }
-        for m in p.methods.ids() {
-            assert_eq!(
-                sa.no_refine_methods.contains(m),
-                sc.no_refine_methods.contains(m)
-            );
-        }
-    }
-
-    #[test]
-    fn custom_heuristic_reproduces_heuristic_b() {
-        let p = hub_program(40);
-        let builtin = HeuristicB { p: 10, q: 19 };
-        let custom = CustomHeuristic::new("B-rebuilt")
-            .exclude_methods_when(Metric::MethodTotalPts, 10)
-            .exclude_objects_when_product(Metric::ObjTotalFieldPts, Metric::PointedByVars, 19);
-        let (sb, insens) = select(&p, &builtin);
-        let metrics = IntrospectionMetrics::compute(&p, &insens);
-        let sc = custom.select(&p, &metrics, &insens);
-        for a in p.allocs.ids() {
-            assert_eq!(sb.object_refined(a), sc.object_refined(a), "{a:?}");
-        }
-        for m in p.methods.ids() {
-            assert_eq!(
-                sb.no_refine_methods.contains(m),
-                sc.no_refine_methods.contains(m)
-            );
-        }
-    }
-
-    #[test]
-    fn empty_custom_heuristic_refines_everything() {
-        let p = hub_program(8);
-        let custom = CustomHeuristic::new("noop");
-        let (_, insens) = select(&p, &HeuristicA::default());
-        let metrics = IntrospectionMetrics::compute(&p, &insens);
-        let set = custom.select(&p, &metrics, &insens);
-        assert!(set.no_refine_objects.is_empty());
-        assert!(set.no_refine_invokes.is_empty());
-        assert!(set.no_refine_methods.is_empty());
     }
 }

@@ -57,6 +57,7 @@
 pub mod bitset;
 pub mod clients;
 pub mod context;
+pub mod cs_facts;
 pub mod cutshortcut;
 pub mod driver;
 pub mod hash;
@@ -76,21 +77,19 @@ pub mod telemetry;
 
 pub use clients::PrecisionMetrics;
 pub use context::{CObj, ContextElem, CtxId, CtxTables, HCtxId};
+pub use cs_facts::{ClientError, Supervised};
 pub use cutshortcut::{CutStats, CutSummary, MethodCuts, ParamCut};
 pub use driver::{
     analyze_flavor, analyze_introspective, Flavor, FlavorParseError, IntrospectiveRun,
 };
-pub use heuristics::{
-    CustomHeuristic, HeuristicA, HeuristicB, Metric, RefinementHeuristic, RefinementStats,
-};
+pub use heuristics::{HeuristicA, HeuristicB, RefinementHeuristic, RefinementStats};
 pub use introspection::IntrospectionMetrics;
 pub use policy::{
     CallSiteSensitive, ContextPolicy, CutShortcut, HybridObjectSensitive, Insensitive,
     Introspective, ObjectSensitive, RefinementSet, Summaries, TypeSensitive,
 };
 pub use races::{
-    analyze_races, supervised_races, Race, RaceAccess, RaceError, RaceKey, RaceResult,
-    SupervisedRaces,
+    analyze_races, supervised_races, Race, RaceAccess, RaceKey, RaceResult, SupervisedRaces,
 };
 pub use solver::{
     analyze, Budget, CancelToken, ExhaustionCause, Outcome, PointsToResult, SolverConfig,
@@ -102,5 +101,5 @@ pub use supervisor::{
     supervise, HeuristicChoice, LadderSpec, RungKind, RungReport, RungSpec, SalvagedFacts,
     SupervisedRun, SupervisionVerdict, SupervisorConfig,
 };
-pub use taint::{analyze_taint, supervised_taint, Leak, SupervisedTaint, TaintError, TaintResult};
+pub use taint::{analyze_taint, supervised_taint, Leak, SupervisedTaint, TaintResult};
 pub use telemetry::{validate_chrome_trace, Telemetry, TelemetryHandle, TraceCheck};

@@ -43,17 +43,20 @@
 //! [`RaceResult::suspect_guards`].
 
 use std::collections::BTreeSet;
-use std::fmt;
 
 use rudoop_ir::{
-    AllocId, FieldId, GlobalId, Instruction, InvokeId, InvokeKind, MethodId, Program, VarId,
+    AllocId, FieldId, GlobalId, IdxVec, Instruction, InvokeId, InvokeKind, MethodId, Program,
+    SccDag, StaticCallGraph, VarId,
 };
 
-use crate::context::CtxId;
+use crate::context::{CtxId, HCtxId};
+use crate::cs_facts::{
+    push_json_array, span_json, supervised, Client, ClientError, CsFacts, Supervised,
+};
 use crate::hash::{FxHashMap, FxHashSet};
+use crate::json::escape;
 use crate::solver::PointsToResult;
 use crate::supervisor::SupervisedRun;
-use crate::taint::{json_escape, CtxCanon};
 
 /// A statement position: `(method, statement index)`.
 pub type Site = (MethodId, usize);
@@ -163,61 +166,14 @@ impl RaceResult {
     }
 }
 
-/// Why race analysis could not run on a points-to result.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RaceError {
-    /// The result carries no context-sensitive dump (`record_contexts` was
-    /// off).
-    MissingContextDump,
-    /// The points-to run did not complete; an MHP relation over partial
-    /// facts would under-report races.
-    IncompleteAnalysis(String),
-}
-
-impl fmt::Display for RaceError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            RaceError::MissingContextDump => f.write_str(
-                "points-to result has no context-sensitive dump (enable record_contexts)",
-            ),
-            RaceError::IncompleteAnalysis(name) => write!(
-                f,
-                "points-to run {name:?} is incomplete; refusing to report a partial race list"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for RaceError {}
-
 /// The outcome of running race detection under the supervisor's exit
 /// contract.
-#[derive(Debug, Clone)]
-pub enum SupervisedRaces {
-    /// Races ran on a *complete* (possibly degraded-but-sound) rung result.
-    Analyzed(RaceResult),
-    /// No complete rung result was available; race detection was skipped
-    /// rather than reporting a partial race list as if it were complete.
-    Skipped {
-        /// Human-readable explanation for the report.
-        reason: String,
-    },
-}
-
-impl SupervisedRaces {
-    /// The analyzed result, when race detection ran.
-    pub fn as_analyzed(&self) -> Option<&RaceResult> {
-        match self {
-            SupervisedRaces::Analyzed(r) => Some(r),
-            SupervisedRaces::Skipped { .. } => None,
-        }
-    }
-}
+pub type SupervisedRaces = Supervised<RaceResult>;
 
 /// Runs race detection over the outcome of a supervised ladder run,
 /// honoring the degradation contract: a completed rung (even a degraded
 /// one) is a sound points-to abstraction and the client runs on it; an
-/// exhausted ladder yields [`SupervisedRaces::Skipped`].
+/// exhausted ladder yields [`Supervised::Skipped`].
 pub fn supervised_races(program: &Program, run: &SupervisedRun) -> SupervisedRaces {
     supervised_races_traced(program, run, &None)
 }
@@ -230,25 +186,9 @@ pub fn supervised_races_traced(
     run: &SupervisedRun,
     tele: &crate::telemetry::TelemetryHandle,
 ) -> SupervisedRaces {
-    let outcome = match &run.result {
-        Some(result) => match analyze_races_traced(program, result, tele) {
-            Ok(r) => SupervisedRaces::Analyzed(r),
-            Err(e) => SupervisedRaces::Skipped {
-                reason: e.to_string(),
-            },
-        },
-        None => SupervisedRaces::Skipped {
-            reason: format!(
-                "all {} ladder rung(s) exhausted; points-to facts are partial and race \
-                 detection would under-report races",
-                run.attempts.len()
-            ),
-        },
-    };
-    if let (Some(t), SupervisedRaces::Skipped { reason }) = (tele.as_deref(), &outcome) {
-        t.instant("races-skipped", vec![("reason".into(), reason.clone())]);
-    }
-    outcome
+    supervised(Client::RACES, run, tele, |result| {
+        analyze_races_traced(program, result, tele)
+    })
 }
 
 /// Runs the race client over a completed points-to result.
@@ -259,9 +199,9 @@ pub fn supervised_races_traced(
 ///
 /// # Errors
 ///
-/// [`RaceError::MissingContextDump`] without a dump,
-/// [`RaceError::IncompleteAnalysis`] when the run was cut short.
-pub fn analyze_races(program: &Program, pts: &PointsToResult) -> Result<RaceResult, RaceError> {
+/// [`ClientError::MissingContextDump`] without a dump,
+/// [`ClientError::IncompleteAnalysis`] when the run was cut short.
+pub fn analyze_races(program: &Program, pts: &PointsToResult) -> Result<RaceResult, ClientError> {
     analyze_races_traced(program, pts, &None)
 }
 
@@ -311,44 +251,14 @@ pub fn analyze_races_traced(
     program: &Program,
     pts: &PointsToResult,
     tele: &crate::telemetry::TelemetryHandle,
-) -> Result<RaceResult, RaceError> {
+) -> Result<RaceResult, ClientError> {
     let span = crate::telemetry::span_opt(tele, "races");
     if let Some(s) = &span {
         s.arg("analysis", &pts.analysis);
     }
-    if !pts.outcome.is_complete() {
-        return Err(RaceError::IncompleteAnalysis(pts.analysis.clone()));
-    }
-    let dump = pts.cs_dump.as_ref().ok_or(RaceError::MissingContextDump)?;
-    let canon = CtxCanon::build(dump, &pts.tables);
-
-    // Canonicalized relations, exactly as the taint client builds them:
-    // everything order-sensitive downstream runs on content-ranked ids.
-    let mut vpt: FxHashMap<(VarId, CtxId), Vec<(AllocId, crate::context::HCtxId)>> =
-        FxHashMap::default();
-    for &(var, ctx, heap, hctx) in &dump.var_points_to {
-        vpt.entry((var, canon.ctx(ctx)))
-            .or_default()
-            .push((heap, canon.hctx(hctx)));
-    }
-    for objs in vpt.values_mut() {
-        objs.sort_unstable();
-        objs.dedup();
-    }
-    let mut reachable: Vec<(MethodId, CtxId)> = dump
-        .reachable
-        .iter()
-        .map(|&(m, c)| (m, canon.ctx(c)))
-        .collect();
-    reachable.sort_unstable();
-    reachable.dedup();
-    let mut call_graph: Vec<(InvokeId, CtxId, MethodId, CtxId)> = dump
-        .call_graph
-        .iter()
-        .map(|&(i, cc, m, ec)| (i, canon.ctx(cc), m, canon.ctx(ec)))
-        .collect();
-    call_graph.sort_unstable();
-    call_graph.dedup();
+    // Everything order-sensitive downstream runs on content-ranked ids.
+    let facts = CsFacts::build(pts, Client::RACES)?;
+    let (vpt, reachable, call_graph) = (&facts.vpt, &facts.reachable, &facts.call_graph);
 
     // Body index of every invoke site, and the structural shape of every
     // method body.
@@ -414,7 +324,7 @@ pub fn analyze_races_traced(
         .collect();
 
     let mut edges_from: FxHashMap<CtxNode, Vec<(InvokeId, MethodId, CtxId)>> = FxHashMap::default();
-    for &(inv, cctx, m, ectx) in &call_graph {
+    for &(inv, cctx, m, ectx) in call_graph {
         edges_from
             .entry((program.invokes[inv].method, cctx))
             .or_default()
@@ -429,9 +339,7 @@ pub fn analyze_races_traced(
     let entry_seeds: Vec<(MethodId, CtxId)> = reachable
         .iter()
         .copied()
-        .filter(|&(m, c)| {
-            entry_set.contains(&m) && pts.tables.ctx_elems(canon.orig_ctx(c)).is_empty()
-        })
+        .filter(|&(m, c)| entry_set.contains(&m) && facts.ctx_is_empty(c))
         .collect();
 
     let mut exec: FxHashMap<(MethodId, CtxId), BTreeSet<usize>> = FxHashMap::default();
@@ -459,13 +367,17 @@ pub fn analyze_races_traced(
     // edges participate like any other edge — a spawn site executes once
     // per execution of its enclosing body.
     let mut incoming: FxHashMap<MethodId, BTreeSet<InvokeId>> = FxHashMap::default();
-    let mut proj_succ: FxHashMap<MethodId, BTreeSet<MethodId>> = FxHashMap::default();
-    for &(inv, _, callee, _) in &call_graph {
+    let mut callees: IdxVec<MethodId, Vec<MethodId>> =
+        (0..program.methods.len()).map(|_| Vec::new()).collect();
+    for &(inv, _, callee, _) in call_graph {
         incoming.entry(callee).or_default().insert(inv);
-        proj_succ
-            .entry(program.invokes[inv].method)
-            .or_default()
-            .insert(callee);
+        callees[program.invokes[inv].method].push(callee);
+    }
+    let mut edge_count = 0;
+    for out in callees.values_mut() {
+        out.sort_unstable();
+        out.dedup();
+        edge_count += out.len();
     }
     let mut methods: Vec<MethodId> = reachable.iter().map(|&(m, _)| m).collect();
     methods.sort_unstable();
@@ -479,8 +391,12 @@ pub fn analyze_races_traced(
             multi.insert(m);
         }
     }
-    for m in cyclic_methods(&methods, &proj_succ) {
-        multi.insert(m);
+    let sccs = SccDag::from_graph(&StaticCallGraph {
+        callees,
+        edge_count,
+    });
+    for (members, _) in sccs.members.iter().zip(&sccs.cyclic).filter(|(_, &c)| c) {
+        multi.extend(members.iter().copied());
     }
     // Propagate multi down call edges to a fixpoint.
     let mut changed = true;
@@ -563,7 +479,7 @@ pub fn analyze_races_traced(
         mls.insert((m, c), BTreeSet::new());
         queue.push((m, c));
     }
-    for &(inv, _, m, c) in &call_graph {
+    for &(inv, _, m, c) in call_graph {
         if spawn_site_set.contains(&inv) && !mls.contains_key(&(m, c)) {
             mls.insert((m, c), BTreeSet::new());
             queue.push((m, c));
@@ -623,8 +539,7 @@ pub fn analyze_races_traced(
     }
     // Heap contexts each allocation site appears under — a second
     // instance dimension for suspect guards.
-    let mut alloc_hctxs: FxHashMap<AllocId, BTreeSet<crate::context::HCtxId>> =
-        FxHashMap::default();
+    let mut alloc_hctxs: FxHashMap<AllocId, BTreeSet<HCtxId>> = FxHashMap::default();
     for objs in vpt.values() {
         for &(a, h) in objs {
             alloc_hctxs.entry(a).or_default().insert(h);
@@ -932,7 +847,7 @@ pub fn analyze_races_traced(
                     format!(
                         "{} {}",
                         program.method_display(m),
-                        pts.tables.display_ctx(canon.orig_ctx(c), program)
+                        facts.display_ctx(c, program)
                     )
                 })
                 .collect();
@@ -1013,98 +928,6 @@ fn defined_var(program: &Program, instr: &Instruction) -> Option<VarId> {
     }
 }
 
-/// Methods that sit in a call-graph cycle (a strongly connected component
-/// with more than one node, or a self-loop). Iterative Tarjan, so deep
-/// call chains cannot overflow the stack.
-fn cyclic_methods(
-    methods: &[MethodId],
-    succ: &FxHashMap<MethodId, BTreeSet<MethodId>>,
-) -> Vec<MethodId> {
-    let index_of: FxHashMap<MethodId, usize> =
-        methods.iter().enumerate().map(|(i, &m)| (m, i)).collect();
-    let n = methods.len();
-    const UNVISITED: usize = usize::MAX;
-    let mut index = vec![UNVISITED; n];
-    let mut low = vec![0usize; n];
-    let mut on_stack = vec![false; n];
-    let mut stack: Vec<usize> = Vec::new();
-    let mut next_index = 0usize;
-    let mut cyclic = Vec::new();
-
-    // Explicit DFS frames: (node, iterator position over its successors).
-    for &root in methods {
-        let r = index_of[&root];
-        if index[r] != UNVISITED {
-            continue;
-        }
-        let mut frames: Vec<(usize, Vec<usize>, usize)> = Vec::new();
-        let succs_of = |v: usize| -> Vec<usize> {
-            succ.get(&methods[v])
-                .map(|s| s.iter().filter_map(|m| index_of.get(m).copied()).collect())
-                .unwrap_or_default()
-        };
-        index[r] = next_index;
-        low[r] = next_index;
-        next_index += 1;
-        stack.push(r);
-        on_stack[r] = true;
-        frames.push((r, succs_of(r), 0));
-        while !frames.is_empty() {
-            let (v, advanced) = {
-                let frame = frames.last_mut().unwrap();
-                let v = frame.0;
-                if frame.2 < frame.1.len() {
-                    let w = frame.1[frame.2];
-                    frame.2 += 1;
-                    (v, Some(w))
-                } else {
-                    (v, None)
-                }
-            };
-            match advanced {
-                Some(w) => {
-                    if index[w] == UNVISITED {
-                        index[w] = next_index;
-                        low[w] = next_index;
-                        next_index += 1;
-                        stack.push(w);
-                        on_stack[w] = true;
-                        let kids = succs_of(w);
-                        frames.push((w, kids, 0));
-                    } else if on_stack[w] {
-                        low[v] = low[v].min(index[w]);
-                    }
-                }
-                None => {
-                    frames.pop();
-                    if let Some(frame) = frames.last_mut() {
-                        low[frame.0] = low[frame.0].min(low[v]);
-                    }
-                    if low[v] == index[v] {
-                        let mut comp = Vec::new();
-                        while let Some(w) = stack.pop() {
-                            on_stack[w] = false;
-                            comp.push(w);
-                            if w == v {
-                                break;
-                            }
-                        }
-                        let self_loop = comp.len() == 1
-                            && succ
-                                .get(&methods[comp[0]])
-                                .is_some_and(|s| s.contains(&methods[comp[0]]));
-                        if comp.len() > 1 || self_loop {
-                            cyclic.extend(comp.into_iter().map(|i| methods[i]));
-                        }
-                    }
-                }
-            }
-        }
-    }
-    cyclic.sort_unstable();
-    cyclic
-}
-
 /// Renders a supervised race outcome as a JSON document for `rudoop races
 /// --format json`.
 ///
@@ -1121,94 +944,58 @@ fn cyclic_methods(
 pub fn render_json(program: &Program, races: &SupervisedRaces) -> String {
     let mut out = String::from("{\n");
     match races {
-        SupervisedRaces::Skipped { reason } => {
+        Supervised::Skipped { reason } => {
             out.push_str(&format!(
-                "  \"analysis\": null,\n  \"skipped\": \"{}\",\n  \"threads\": [],\n  \
+                "  \"analysis\": null,\n  \"skipped\": {},\n  \"threads\": [],\n  \
                  \"access_sites\": 0,\n  \"races\": [],\n  \"suspect_guards\": [],\n  \
                  \"dead_regions\": [],\n  \"escapes\": []\n",
-                json_escape(reason)
+                escape(reason)
             ));
         }
-        SupervisedRaces::Analyzed(r) => {
-            let threads: Vec<String> = r
-                .threads
-                .iter()
-                .map(|t| format!("\"{}\"", json_escape(t)))
-                .collect();
+        Supervised::Analyzed(r) => {
+            let threads: Vec<String> = r.threads.iter().map(|t| escape(t)).collect();
             out.push_str(&format!(
-                "  \"analysis\": \"{}\",\n  \"skipped\": null,\n  \"threads\": [{}],\n  \
+                "  \"analysis\": {},\n  \"skipped\": null,\n  \"threads\": [{}],\n  \
                  \"access_sites\": {},\n",
-                json_escape(&r.analysis),
+                escape(&r.analysis),
                 threads.join(","),
                 r.access_sites
             ));
-            out.push_str("  \"races\": [");
-            for (i, race) in r.races.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!(
-                    "\n    {{\"location\":\"{}\",\"a\":{},\"b\":{}}}",
-                    json_escape(&race.location),
+            let races = r.races.iter().map(|race| {
+                format!(
+                    "{{\"location\":{},\"a\":{},\"b\":{}}}",
+                    escape(&race.location),
                     access_json(program, &race.a),
                     access_json(program, &race.b)
-                ));
-            }
-            out.push_str(if r.races.is_empty() {
-                "],\n"
-            } else {
-                "\n  ],\n"
+                )
             });
-            out.push_str("  \"suspect_guards\": [");
-            for (i, g) in r.suspect_guards.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!(
-                    "\n    {{\"method\":\"{}\",\"span\":{},\"lock_class\":\"{}\"}}",
-                    json_escape(&program.method_display(g.method)),
-                    site_span_json(program, g.method, g.index),
-                    json_escape(&program.classes[program.allocs[g.lock].class].name)
-                ));
-            }
-            out.push_str(if r.suspect_guards.is_empty() {
-                "],\n"
-            } else {
-                "\n  ],\n"
+            push_json_array(&mut out, "races", races, false);
+            let guards = r.suspect_guards.iter().map(|g| {
+                format!(
+                    "{{\"method\":{},\"span\":{},\"lock_class\":{}}}",
+                    escape(&program.method_display(g.method)),
+                    span_json(program, g.method, g.index),
+                    escape(&program.classes[program.allocs[g.lock].class].name)
+                )
             });
-            out.push_str("  \"dead_regions\": [");
-            for (i, &(m, idx)) in r.dead_regions.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!(
-                    "\n    {{\"method\":\"{}\",\"span\":{}}}",
-                    json_escape(&program.method_display(m)),
-                    site_span_json(program, m, idx)
-                ));
-            }
-            out.push_str(if r.dead_regions.is_empty() {
-                "],\n"
-            } else {
-                "\n  ],\n"
+            push_json_array(&mut out, "suspect_guards", guards, false);
+            let regions = r.dead_regions.iter().map(|&(m, idx)| {
+                format!(
+                    "{{\"method\":{},\"span\":{}}}",
+                    escape(&program.method_display(m)),
+                    span_json(program, m, idx)
+                )
             });
-            out.push_str("  \"escapes\": [");
-            for (i, e) in r.escapes.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!(
-                    "\n    {{\"alloc_class\":\"{}\",\"method\":\"{}\",\"span\":{}}}",
-                    json_escape(&program.classes[program.allocs[e.alloc].class].name),
-                    json_escape(&program.method_display(e.method)),
-                    site_span_json(program, e.method, e.index)
-                ));
-            }
-            out.push_str(if r.escapes.is_empty() {
-                "]\n"
-            } else {
-                "\n  ]\n"
+            push_json_array(&mut out, "dead_regions", regions, false);
+            let escapes = r.escapes.iter().map(|e| {
+                format!(
+                    "{{\"alloc_class\":{},\"method\":{},\"span\":{}}}",
+                    escape(&program.classes[program.allocs[e.alloc].class].name),
+                    escape(&program.method_display(e.method)),
+                    span_json(program, e.method, e.index)
+                )
             });
+            push_json_array(&mut out, "escapes", escapes, true);
         }
     }
     out.push_str("}\n");
@@ -1223,7 +1010,7 @@ pub fn render_text(races: &SupervisedRaces) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
     match races {
-        SupervisedRaces::Analyzed(r) => {
+        Supervised::Analyzed(r) => {
             let _ = writeln!(
                 out,
                 "races ({}): {} thread(s), {} access site(s), {} race(s), \
@@ -1258,7 +1045,7 @@ pub fn render_text(races: &SupervisedRaces) -> String {
                 let _ = writeln!(out, "... {} more race(s)", r.races.len() - MAX_RACES);
             }
         }
-        SupervisedRaces::Skipped { reason } => {
+        Supervised::Skipped { reason } => {
             let _ = writeln!(out, "races: SKIPPED — {reason}");
         }
     }
@@ -1266,29 +1053,15 @@ pub fn render_text(races: &SupervisedRaces) -> String {
 }
 
 fn access_json(program: &Program, a: &RaceAccess) -> String {
-    let trace: Vec<String> = a
-        .trace
-        .iter()
-        .map(|s| format!("\"{}\"", json_escape(s)))
-        .collect();
+    let trace: Vec<String> = a.trace.iter().map(|s| escape(s)).collect();
     format!(
-        "{{\"method\":\"{}\",\"span\":{},\"kind\":\"{}\",\"thread\":\"{}\",\"trace\":[{}]}}",
-        json_escape(&program.method_display(a.method)),
-        site_span_json(program, a.method, a.index),
+        "{{\"method\":{},\"span\":{},\"kind\":\"{}\",\"thread\":{},\"trace\":[{}]}}",
+        escape(&program.method_display(a.method)),
+        span_json(program, a.method, a.index),
         if a.is_write { "write" } else { "read" },
-        json_escape(&a.thread),
+        escape(&a.thread),
         trace.join(",")
     )
-}
-
-/// The span of a body instruction as a JSON value, `null` when unknown.
-fn site_span_json(program: &Program, method: MethodId, index: usize) -> String {
-    let span = program.methods[method].span_of(index);
-    if span.is_known() {
-        format!("\"{span}\"")
-    } else {
-        "null".to_owned()
-    }
 }
 
 #[cfg(test)]
@@ -1488,7 +1261,7 @@ mod tests {
         let result = analyze(&p, &h, &Insensitive, &SolverConfig::default());
         assert_eq!(
             analyze_races(&p, &result).unwrap_err(),
-            RaceError::MissingContextDump
+            ClientError::MissingContextDump
         );
     }
 
@@ -1593,7 +1366,7 @@ mod tests {
     /// context ids by content before anything order-sensitive.
     #[test]
     fn witnesses_are_invariant_under_context_renumbering() {
-        use crate::context::{CtxId, CtxTables, HCtxId};
+        use crate::context::CtxTables;
         let p = private_counters();
         let result = run(&p, &ObjectSensitive::new(2, 1));
         assert!(result.outcome.is_complete());

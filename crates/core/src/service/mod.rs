@@ -317,7 +317,6 @@ impl ServiceState {
                 record_contexts: matches!(query.kind.as_str(), "taint" | "races"),
                 ..SolverConfig::default()
             },
-            watchdog: query.budget.ms.is_some(),
             warm_first_pass: self.warm.clone(),
             warm_summaries,
         };

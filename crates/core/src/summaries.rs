@@ -117,8 +117,6 @@ pub struct SummaryStats {
     pub sccs: usize,
     /// Components containing a call cycle.
     pub cyclic_sccs: usize,
-    /// Antichain levels of the condensation.
-    pub levels: usize,
     /// Largest number of fixpoint rounds any component needed.
     pub max_rounds: usize,
 }
@@ -150,14 +148,13 @@ impl SummaryTable {
             methods: program.methods.len(),
             sccs: dag.len(),
             cyclic_sccs: dag.cyclic.iter().filter(|&&c| c).count(),
-            levels: dag.levels.len(),
             ..SummaryStats::default()
         };
         let mut summaries: IdxVec<MethodId, MethodSummary> = (0..program.methods.len())
             .map(|_| MethodSummary::default())
             .collect();
 
-        for &comp in dag.levels.iter().flatten() {
+        for comp in dag.bottom_up() {
             let (solved, rounds) = distill_component(program, &flow, &dag, comp, &summaries);
             stats.max_rounds = stats.max_rounds.max(rounds);
             for (m, s) in solved {
@@ -279,7 +276,7 @@ impl SummaryTable {
         let s = &self.stats;
         out.push_str(&format!(
             "stats: methods={} with_ret={} distilled={} fallback={} atoms={} \
-             (param={} field={} alloc={} global={}) sccs={} cyclic={} levels={} max_rounds={}\n",
+             (param={} field={} alloc={} global={}) sccs={} cyclic={} max_rounds={}\n",
             s.methods,
             s.methods_with_ret,
             s.distilled,
@@ -291,7 +288,6 @@ impl SummaryTable {
             s.global_atoms,
             s.sccs,
             s.cyclic_sccs,
-            s.levels,
             s.max_rounds,
         ));
         out

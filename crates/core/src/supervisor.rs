@@ -266,10 +266,6 @@ pub struct SupervisorConfig {
     /// budget, and its `cancel` token (if any) is treated as the *external*
     /// cancellation signal for the whole supervised run.
     pub solver: SolverConfig,
-    /// Spawn a watchdog thread enforcing `budget.max_duration` even when an
-    /// iteration stalls inside the solver (the in-loop wall-clock check
-    /// only runs between worklist steps).
-    pub watchdog: bool,
     /// A pre-computed, *completed* context-insensitive first pass, shared
     /// across supervised runs by a resident service (`rudoopd` warms one
     /// at startup). Introspective rungs reuse it instead of recomputing —
@@ -489,12 +485,11 @@ impl Drop for Watchdog {
 /// The shared insensitive first pass across introspective rungs.
 enum FirstPass {
     NotRun,
-    /// Completed; reused by every introspective rung.
-    Done(Box<PointsToResult>),
-    /// A resident service's warm pass, admitted by this run's budget.
-    /// Held by reference and cloned lazily at first introspective use, so
-    /// all-direct ladders never pay for the copy.
-    Warm(Arc<PointsToResult>),
+    /// Completed here, or a resident service's warm pass admitted by this
+    /// run's budget; reused by every introspective rung. Held by reference
+    /// and cloned at each introspective use, so all-direct ladders never
+    /// pay for a copy of a warm pass.
+    Done(Arc<PointsToResult>),
     /// Itself exhausted under the budget: introspective rungs cannot run.
     Exhausted,
 }
@@ -525,7 +520,7 @@ pub fn supervise(
             if let Some(t) = tele.as_deref() {
                 t.instant("warm-first-pass-reused", vec![]);
             }
-            FirstPass::Warm(Arc::clone(warm))
+            FirstPass::Done(Arc::clone(warm))
         }
         _ => FirstPass::NotRun,
     };
@@ -570,16 +565,12 @@ pub fn supervise(
             summaries: warm_summaries,
             ..cfg.solver.clone()
         };
-        let needs_watchdog =
-            (cfg.watchdog && cfg.budget.max_duration.is_some()) || external.is_some();
-        let _watchdog = needs_watchdog.then(|| {
-            Watchdog::arm(
-                rung_token.clone(),
-                cfg.watchdog.then_some(cfg.budget.max_duration).flatten(),
-                external.clone(),
-                tele.clone(),
-            )
-        });
+        // A watchdog enforces the duration budget even when an iteration
+        // stalls inside the solver (the in-loop wall-clock check only runs
+        // between worklist steps), and relays external cancellation.
+        let deadline = cfg.budget.max_duration;
+        let _watchdog = (deadline.is_some() || external.is_some())
+            .then(|| Watchdog::arm(rung_token.clone(), deadline, external.clone(), tele.clone()));
 
         let mut ran_first_pass = false;
         let (result, selection_time) = match &rung.kind {
@@ -599,7 +590,7 @@ pub fn supervise(
                     ran_first_pass = true;
                     first_pass_stats = Some(fp.stats.clone());
                     first_pass = if fp.outcome.is_complete() {
-                        FirstPass::Done(Box::new(fp))
+                        FirstPass::Done(Arc::new(fp))
                     } else {
                         // Even the insensitive pass exhausted: keep its
                         // partial facts as salvage and skip the second pass.
@@ -609,17 +600,6 @@ pub fn supervise(
                 }
                 match &first_pass {
                     FirstPass::Done(fp) => {
-                        let run = analyze_introspective_from(
-                            program,
-                            hierarchy,
-                            *flavor,
-                            heuristic.as_dyn(),
-                            &rung_config,
-                            (**fp).clone(),
-                        );
-                        (run.result, Some(run.selection_time))
-                    }
-                    FirstPass::Warm(fp) => {
                         let run = analyze_introspective_from(
                             program,
                             hierarchy,

@@ -26,16 +26,18 @@
 //! leaks(insensitive)`. Reported leaks may be false positives; absence of a
 //! leak is a guarantee of the abstraction.
 
-use std::fmt;
-
 use rudoop_ir::{
     AllocId, FieldId, GlobalId, Instruction, InvokeId, InvokeKind, MethodId, Program, TaintSpec,
     VarId,
 };
 
-use crate::context::{CtxId, CtxTables, HCtxId};
+use crate::context::{CtxId, HCtxId};
+use crate::cs_facts::{
+    invoke_site, push_json_array, span_json, supervised, Client, ClientError, CsFacts, Supervised,
+};
 use crate::hash::{FxHashMap, FxHashSet};
-use crate::solver::{CsDump, PointsToResult};
+use crate::json::escape;
+use crate::solver::PointsToResult;
 use crate::supervisor::SupervisedRun;
 
 /// One taint propagation node: a variable under a calling context, a field
@@ -122,60 +124,13 @@ impl TaintResult {
     }
 }
 
-/// Why taint analysis could not run on a points-to result.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TaintError {
-    /// The result carries no context-sensitive dump (`record_contexts` was
-    /// off).
-    MissingContextDump,
-    /// The points-to run did not complete; propagating taint over partial
-    /// facts would under-report leaks.
-    IncompleteAnalysis(String),
-}
-
-impl fmt::Display for TaintError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TaintError::MissingContextDump => f.write_str(
-                "points-to result has no context-sensitive dump (enable record_contexts)",
-            ),
-            TaintError::IncompleteAnalysis(name) => write!(
-                f,
-                "points-to run {name:?} is incomplete; refusing to report a partial leak list"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for TaintError {}
-
 /// The outcome of running taint under the supervisor's exit contract.
-#[derive(Debug, Clone)]
-pub enum SupervisedTaint {
-    /// Taint ran on a *complete* (possibly degraded-but-sound) rung result.
-    Analyzed(TaintResult),
-    /// No complete rung result was available; taint was skipped rather than
-    /// reporting a partial leak list as if it were complete.
-    Skipped {
-        /// Human-readable explanation for the report.
-        reason: String,
-    },
-}
-
-impl SupervisedTaint {
-    /// The analyzed result, when taint ran.
-    pub fn as_analyzed(&self) -> Option<&TaintResult> {
-        match self {
-            SupervisedTaint::Analyzed(t) => Some(t),
-            SupervisedTaint::Skipped { .. } => None,
-        }
-    }
-}
+pub type SupervisedTaint = Supervised<TaintResult>;
 
 /// Runs taint over the outcome of a supervised ladder run, honoring the
 /// degradation contract: a completed rung (even a degraded one) is a sound
 /// points-to abstraction and taint runs on it; an exhausted ladder yields
-/// [`SupervisedTaint::Skipped`] — salvaged partial facts are never used, a
+/// [`Supervised::Skipped`] — salvaged partial facts are never used, a
 /// partial leak list must not masquerade as a complete one.
 pub fn supervised_taint(
     program: &Program,
@@ -194,25 +149,9 @@ pub fn supervised_taint_traced(
     run: &SupervisedRun,
     tele: &crate::telemetry::TelemetryHandle,
 ) -> SupervisedTaint {
-    let outcome = match &run.result {
-        Some(result) => match analyze_taint_traced(program, spec, result, tele) {
-            Ok(t) => SupervisedTaint::Analyzed(t),
-            Err(e) => SupervisedTaint::Skipped {
-                reason: e.to_string(),
-            },
-        },
-        None => SupervisedTaint::Skipped {
-            reason: format!(
-                "all {} ladder rung(s) exhausted; points-to facts are partial and taint \
-                 would under-report leaks",
-                run.attempts.len()
-            ),
-        },
-    };
-    if let (Some(t), SupervisedTaint::Skipped { reason }) = (tele.as_deref(), &outcome) {
-        t.instant("taint-skipped", vec![("reason".into(), reason.clone())]);
-    }
-    outcome
+    supervised(Client::TAINT, run, tele, |result| {
+        analyze_taint_traced(program, spec, result, tele)
+    })
 }
 
 /// Runs the taint client of `spec` over a completed points-to result.
@@ -223,13 +162,13 @@ pub fn supervised_taint_traced(
 ///
 /// # Errors
 ///
-/// [`TaintError::MissingContextDump`] without a dump,
-/// [`TaintError::IncompleteAnalysis`] when the run was cut short.
+/// [`ClientError::MissingContextDump`] without a dump,
+/// [`ClientError::IncompleteAnalysis`] when the run was cut short.
 pub fn analyze_taint(
     program: &Program,
     spec: &TaintSpec,
     pts: &PointsToResult,
-) -> Result<TaintResult, TaintError> {
+) -> Result<TaintResult, ClientError> {
     analyze_taint_traced(program, spec, pts, &None)
 }
 
@@ -244,47 +183,18 @@ pub fn analyze_taint_traced(
     spec: &TaintSpec,
     pts: &PointsToResult,
     tele: &crate::telemetry::TelemetryHandle,
-) -> Result<TaintResult, TaintError> {
+) -> Result<TaintResult, ClientError> {
     let span = crate::telemetry::span_opt(tele, "taint");
     if let Some(s) = &span {
         s.arg("analysis", &pts.analysis);
     }
-    if !pts.outcome.is_complete() {
-        return Err(TaintError::IncompleteAnalysis(pts.analysis.clone()));
-    }
-    let dump = pts.cs_dump.as_ref().ok_or(TaintError::MissingContextDump)?;
-    let canon = CtxCanon::build(dump, &pts.tables);
-
-    let mut vpt: FxHashMap<(VarId, CtxId), Vec<(AllocId, HCtxId)>> = FxHashMap::default();
-    for &(var, ctx, heap, hctx) in &dump.var_points_to {
-        vpt.entry((var, canon.ctx(ctx)))
-            .or_default()
-            .push((heap, canon.hctx(hctx)));
-    }
-    for objs in vpt.values_mut() {
-        objs.sort_unstable();
-        objs.dedup();
-    }
-
-    let mut reachable: Vec<(MethodId, CtxId)> = dump
-        .reachable
-        .iter()
-        .map(|&(m, c)| (m, canon.ctx(c)))
-        .collect();
-    reachable.sort_unstable();
-    reachable.dedup();
-    let mut call_graph: Vec<(InvokeId, CtxId, MethodId, CtxId)> = dump
-        .call_graph
-        .iter()
-        .map(|&(i, cc, m, ec)| (i, canon.ctx(cc), m, canon.ctx(ec)))
-        .collect();
-    call_graph.sort_unstable();
-    call_graph.dedup();
+    let facts = CsFacts::build(pts, Client::TAINT)?;
+    let (vpt, call_graph) = (&facts.vpt, &facts.call_graph);
 
     let mut graph = GraphBuilder::default();
 
     // Intra-procedural flows, per reachable (method, context).
-    for &(meth, ctx) in &reachable {
+    for &(meth, ctx) in &facts.reachable {
         let m = &program.methods[meth];
         for instr in &m.body {
             match *instr {
@@ -334,7 +244,7 @@ pub fn analyze_taint_traced(
     let mut source_sites: FxHashSet<InvokeId> = FxHashSet::default();
     let mut sink_sites: FxHashSet<InvokeId> = FxHashSet::default();
 
-    for &(invo, caller_ctx, meth, callee_ctx) in &call_graph {
+    for &(invo, caller_ctx, meth, callee_ctx) in call_graph {
         let inv = &program.invokes[invo];
         let m = &program.methods[meth];
         for (&actual, &formal) in inv.args.iter().zip(m.params.iter()) {
@@ -440,8 +350,7 @@ pub fn analyze_taint_traced(
                     }
                     leaks.push(build_leak(
                         program,
-                        &pts.tables,
-                        &canon,
+                        &facts,
                         &graph.nodes,
                         &parent,
                         n,
@@ -449,7 +358,7 @@ pub fn analyze_taint_traced(
                         sink,
                         arg,
                         sink_method,
-                        source_method_of(program, &call_graph, label, spec),
+                        source_method_of(program, call_graph, label, spec),
                     ));
                 }
             }
@@ -514,8 +423,7 @@ fn source_method_of(
 #[allow(clippy::too_many_arguments)]
 fn build_leak(
     program: &Program,
-    tables: &CtxTables,
-    canon: &CtxCanon,
+    facts: &CsFacts,
     nodes: &[Node],
     parent: &[u32],
     end: u32,
@@ -543,17 +451,16 @@ fn build_leak(
                 format!(
                     "{} {}",
                     program.var_display(v),
-                    tables.display_ctx(canon.orig_ctx(ctx), program)
+                    facts.display_ctx(ctx, program)
                 )
             }
             Node::Field(heap, hctx, fld) => {
                 heap_steps += 1;
-                let orig = canon.orig_hctx(hctx);
-                if tables.hctx_elems(orig).is_empty() {
+                if facts.hctx_elems(hctx).is_empty() {
                     merged_heap_step = true;
                 }
-                let elems: Vec<String> = tables
-                    .hctx_elems(orig)
+                let elems: Vec<String> = facts
+                    .hctx_elems(hctx)
                     .iter()
                     .map(|e| e.to_string())
                     .collect();
@@ -602,71 +509,54 @@ fn build_leak(
 /// witnesses the T-series lints consume, so scripts can tell a sanitizer
 /// that actually intercepted taint from dead sanitization.
 pub fn render_json(program: &Program, taint: &SupervisedTaint) -> String {
+    let invoke_span = |invo| {
+        let (method, index) = invoke_site(program, invo);
+        span_json(program, method, index)
+    };
     let mut out = String::from("{\n");
     match taint {
-        SupervisedTaint::Skipped { reason } => {
+        Supervised::Skipped { reason } => {
             out.push_str(&format!(
-                "  \"analysis\": null,\n  \"skipped\": \"{}\",\n  \"source_sites\": 0,\n  \
+                "  \"analysis\": null,\n  \"skipped\": {},\n  \"source_sites\": 0,\n  \
                  \"sink_sites\": 0,\n  \"leaks\": [],\n  \"sanitizers\": []\n",
-                json_escape(reason)
+                escape(reason)
             ));
         }
-        SupervisedTaint::Analyzed(t) => {
+        Supervised::Analyzed(t) => {
             out.push_str(&format!(
-                "  \"analysis\": \"{}\",\n  \"skipped\": null,\n  \"source_sites\": {},\n  \
+                "  \"analysis\": {},\n  \"skipped\": null,\n  \"source_sites\": {},\n  \
                  \"sink_sites\": {},\n",
-                json_escape(&t.analysis),
+                escape(&t.analysis),
                 t.source_sites,
                 t.sink_sites
             ));
-            out.push_str("  \"leaks\": [");
-            for (i, leak) in t.leaks.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let trace: Vec<String> = leak
-                    .trace
-                    .iter()
-                    .map(|s| format!("\"{}\"", json_escape(s)))
-                    .collect();
-                out.push_str(&format!(
-                    "\n    {{\"source\":\"{}\",\"source_span\":{},\"sink\":\"{}\",\
+            let leaks = t.leaks.iter().map(|leak| {
+                let trace: Vec<String> = leak.trace.iter().map(|s| escape(s)).collect();
+                format!(
+                    "{{\"source\":{},\"source_span\":{},\"sink\":{},\
                      \"sink_span\":{},\"sink_arg\":{},\"sanitized_source\":{},\
                      \"heap_steps\":{},\"merged_heap_step\":{},\"trace\":[{}]}}",
-                    json_escape(&program.method_display(leak.source_method)),
-                    invoke_span_json(program, leak.source),
-                    json_escape(&program.method_display(leak.sink_method)),
-                    invoke_span_json(program, leak.sink),
+                    escape(&program.method_display(leak.source_method)),
+                    invoke_span(leak.source),
+                    escape(&program.method_display(leak.sink_method)),
+                    invoke_span(leak.sink),
                     leak.sink_arg,
                     t.source_sanitized(leak.source),
                     leak.heap_steps,
                     leak.merged_heap_step,
                     trace.join(",")
-                ));
-            }
-            if t.leaks.is_empty() {
-                out.push_str("],\n");
-            } else {
-                out.push_str("\n  ],\n");
-            }
-            out.push_str("  \"sanitizers\": [");
-            for (i, &(invo, hit)) in t.sanitizer_calls.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let caller = program.invokes[invo].method;
-                out.push_str(&format!(
-                    "\n    {{\"caller\":\"{}\",\"span\":{},\"witnessed_taint\":{}}}",
-                    json_escape(&program.method_display(caller)),
-                    invoke_span_json(program, invo),
+                )
+            });
+            push_json_array(&mut out, "leaks", leaks, false);
+            let sanitizers = t.sanitizer_calls.iter().map(|&(invo, hit)| {
+                format!(
+                    "{{\"caller\":{},\"span\":{},\"witnessed_taint\":{}}}",
+                    escape(&program.method_display(program.invokes[invo].method)),
+                    invoke_span(invo),
                     hit
-                ));
-            }
-            if t.sanitizer_calls.is_empty() {
-                out.push_str("]\n");
-            } else {
-                out.push_str("\n  ]\n");
-            }
+                )
+            });
+            push_json_array(&mut out, "sanitizers", sanitizers, true);
         }
     }
     out.push_str("}\n");
@@ -681,7 +571,7 @@ pub fn render_text(program: &Program, taint: &SupervisedTaint) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
     match taint {
-        SupervisedTaint::Analyzed(taint) => {
+        Supervised::Analyzed(taint) => {
             let _ = writeln!(
                 out,
                 "taint ({}): {} source site(s), {} sink site(s), {} sanitizer call(s), \
@@ -703,120 +593,11 @@ pub fn render_text(program: &Program, taint: &SupervisedTaint) -> String {
                 let _ = writeln!(out, "... {} more leak(s)", taint.leaks.len() - MAX_LEAKS);
             }
         }
-        SupervisedTaint::Skipped { reason } => {
+        Supervised::Skipped { reason } => {
             let _ = writeln!(out, "taint: SKIPPED — {reason}");
         }
     }
     out
-}
-
-/// The source span of a call site as a JSON value: the span of its `call`
-/// instruction in the enclosing method body, `null` when unknown.
-pub(crate) fn invoke_span_json(program: &Program, invo: InvokeId) -> String {
-    let m = &program.methods[program.invokes[invo].method];
-    for (i, instr) in m.body.iter().enumerate() {
-        if matches!(
-            *instr,
-            Instruction::Call { invoke } | Instruction::Spawn { invoke } if invoke == invo
-        ) {
-            let span = m.span_of(i);
-            if span.is_known() {
-                return format!("\"{span}\"");
-            }
-            return "null".to_owned();
-        }
-    }
-    "null".to_owned()
-}
-
-/// Escapes a string for embedding in a JSON string literal.
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Content-based renumbering of the context ids used by a dump.
-///
-/// Raw [`CtxId`] / [`HCtxId`] values record the order in which the solver
-/// interned contexts, not what the contexts are. Everything
-/// order-sensitive in taint — sorting the dump, graph node interning, BFS
-/// tie-breaks when several shortest traces exist — runs on canonical ids:
-/// contexts ranked by their element sequences, which do not depend on
-/// interning order. Original ids survive only for rendering trace lines.
-pub(crate) struct CtxCanon {
-    ctx_rank: FxHashMap<CtxId, CtxId>,
-    hctx_rank: FxHashMap<HCtxId, HCtxId>,
-    ctx_orig: Vec<CtxId>,
-    hctx_orig: Vec<HCtxId>,
-}
-
-impl CtxCanon {
-    pub(crate) fn build(dump: &CsDump, tables: &CtxTables) -> Self {
-        let mut ctxs: FxHashSet<CtxId> = FxHashSet::default();
-        let mut hctxs: FxHashSet<HCtxId> = FxHashSet::default();
-        for &(_, ctx, _, hctx) in &dump.var_points_to {
-            ctxs.insert(ctx);
-            hctxs.insert(hctx);
-        }
-        for &(_, caller, _, callee) in &dump.call_graph {
-            ctxs.insert(caller);
-            ctxs.insert(callee);
-        }
-        for &(_, ctx) in &dump.reachable {
-            ctxs.insert(ctx);
-        }
-
-        // Interning deduplicates, so element sequences are unique per id
-        // and sorting by contents is a total order.
-        let mut ctx_orig: Vec<CtxId> = ctxs.into_iter().collect();
-        ctx_orig.sort_unstable_by(|&a, &b| tables.ctx_elems(a).cmp(tables.ctx_elems(b)));
-        let mut hctx_orig: Vec<HCtxId> = hctxs.into_iter().collect();
-        hctx_orig.sort_unstable_by(|&a, &b| tables.hctx_elems(a).cmp(tables.hctx_elems(b)));
-
-        let ctx_rank = ctx_orig
-            .iter()
-            .enumerate()
-            .map(|(rank, &orig)| (orig, CtxId(rank as u32)))
-            .collect();
-        let hctx_rank = hctx_orig
-            .iter()
-            .enumerate()
-            .map(|(rank, &orig)| (orig, HCtxId(rank as u32)))
-            .collect();
-        CtxCanon {
-            ctx_rank,
-            hctx_rank,
-            ctx_orig,
-            hctx_orig,
-        }
-    }
-
-    pub(crate) fn ctx(&self, id: CtxId) -> CtxId {
-        self.ctx_rank[&id]
-    }
-
-    pub(crate) fn hctx(&self, id: HCtxId) -> HCtxId {
-        self.hctx_rank[&id]
-    }
-
-    pub(crate) fn orig_ctx(&self, canonical: CtxId) -> CtxId {
-        self.ctx_orig[canonical.0 as usize]
-    }
-
-    pub(crate) fn orig_hctx(&self, canonical: HCtxId) -> HCtxId {
-        self.hctx_orig[canonical.0 as usize]
-    }
 }
 
 /// Interned propagation graph under construction.
@@ -924,7 +705,7 @@ mod tests {
         let result = run(&p, false);
         assert_eq!(
             analyze_taint(&p, &spec, &result).unwrap_err(),
-            TaintError::MissingContextDump
+            ClientError::MissingContextDump
         );
     }
 

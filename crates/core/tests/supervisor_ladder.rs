@@ -80,7 +80,6 @@ fn ladder_degrades_to_introspective() {
         ladder: LadderSpec::default_for(Flavor::OBJ2H),
         budget: Budget::derivations(LADDER_BUDGET),
         solver: SolverConfig::default(),
-        watchdog: false,
         warm_first_pass: None,
         warm_summaries: None,
     };
@@ -136,7 +135,6 @@ fn supervised_run_is_reproducible() {
         ladder: LadderSpec::default_for(Flavor::OBJ2H),
         budget: Budget::derivations(LADDER_BUDGET),
         solver: SolverConfig::default(),
-        watchdog: false,
         warm_first_pass: None,
         warm_summaries: None,
     };
@@ -185,7 +183,6 @@ fn all_rungs_exhausted_salvages_best_partial() {
         // Too small even for the insensitive pass.
         budget: Budget::derivations(200),
         solver: SolverConfig::default(),
-        watchdog: false,
         warm_first_pass: None,
         warm_summaries: None,
     };
@@ -208,7 +205,6 @@ fn complete_first_rung_is_verdict_complete() {
         ladder: LadderSpec::default_for(Flavor::OBJ2H),
         budget: Budget::unlimited(),
         solver: SolverConfig::default(),
-        watchdog: false,
         warm_first_pass: None,
         warm_summaries: None,
     };
@@ -257,7 +253,6 @@ fn ladder_recovers_from_capacity_exceeded() {
             max_contexts: Some(3),
             ..SolverConfig::default()
         },
-        watchdog: false,
         warm_first_pass: None,
         warm_summaries: None,
     };
@@ -315,7 +310,6 @@ fn watchdog_enforces_wall_clock_deadline() {
         ladder: LadderSpec::parse("2objH").unwrap(),
         budget: Budget::duration(std::time::Duration::from_millis(30)),
         solver: SolverConfig::default(),
-        watchdog: true,
         warm_first_pass: None,
         warm_summaries: None,
     };
@@ -342,7 +336,6 @@ fn external_cancellation_skips_remaining_rungs() {
             cancel: Some(token),
             ..SolverConfig::default()
         },
-        watchdog: false,
         warm_first_pass: None,
         warm_summaries: None,
     };
@@ -392,7 +385,6 @@ fn warm_first_pass_is_reused_when_budget_admits_it() {
         ladder: LadderSpec::parse("introA:2objH,insens").unwrap(),
         budget: Budget::derivations(LADDER_BUDGET),
         solver: SolverConfig::default(),
-        watchdog: false,
         warm_first_pass,
         warm_summaries: None,
     };
@@ -431,7 +423,6 @@ fn warm_first_pass_is_rejected_when_budget_would_not_admit_it() {
         ladder: LadderSpec::parse("introA:2objH,insens").unwrap(),
         budget: Budget::derivations(tight),
         solver: SolverConfig::default(),
-        watchdog: false,
         warm_first_pass,
         warm_summaries: None,
     };

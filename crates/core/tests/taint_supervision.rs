@@ -70,7 +70,6 @@ fn supervisor_config(ladder: &str, budget: Budget) -> SupervisorConfig {
             record_contexts: true,
             ..SolverConfig::default()
         },
-        watchdog: false,
         warm_first_pass: None,
         warm_summaries: None,
     }

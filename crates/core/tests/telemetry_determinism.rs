@@ -143,7 +143,6 @@ fn ladder_emits_one_rung_span_per_attempt() {
             telemetry: tele.clone(),
             ..SolverConfig::default()
         },
-        watchdog: false,
         warm_first_pass: None,
         warm_summaries: None,
     };

@@ -14,9 +14,7 @@
 //! deduplicated, Tarjan's algorithm runs iteratively over methods in table
 //! order, and component ids are emitted callees-first — so component `0`
 //! has no callees outside itself and iterating components in id order *is*
-//! the reverse-topological (bottom-up) schedule. [`SccDag::levels`]
-//! additionally groups components into antichains for deterministic
-//! parallel scheduling: two components in one level never call each other.
+//! the reverse-topological (bottom-up) schedule.
 
 use crate::hierarchy::ClassHierarchy;
 use crate::ids::{IdxVec, MethodId};
@@ -86,12 +84,6 @@ pub struct SccDag {
     /// Whether each component contains a cycle: more than one member, or a
     /// single member that calls itself.
     pub cyclic: Vec<bool>,
-    /// Antichain levels for parallel scheduling: `levels[0]` holds every
-    /// leaf component, `levels[l]` the components whose deepest callee
-    /// chain has length `l`. Components within one level are pairwise
-    /// independent (no call edges either way), so a parallel scheduler may
-    /// run each level's components concurrently, levels in order.
-    pub levels: Vec<Vec<u32>>,
 }
 
 impl SccDag {
@@ -191,31 +183,11 @@ impl SccDag {
             callee_comps[comp_id].dedup();
         }
 
-        // Antichain levels: level(c) = 1 + max level of its callees.
-        // Components are already reverse-topological, so one ascending pass
-        // sees every callee before its callers.
-        let mut level: Vec<u32> = vec![0; ncomp];
-        let mut max_level = 0u32;
-        for c in 0..ncomp {
-            let l = callee_comps[c]
-                .iter()
-                .map(|&cc| level[cc as usize] + 1)
-                .max()
-                .unwrap_or(0);
-            level[c] = l;
-            max_level = max_level.max(l);
-        }
-        let mut levels: Vec<Vec<u32>> = vec![Vec::new(); max_level as usize + 1];
-        for (c, &l) in level.iter().enumerate() {
-            levels[l as usize].push(c as u32);
-        }
-
         SccDag {
             component,
             members,
             callee_comps,
             cyclic,
-            levels,
         }
     }
 
@@ -342,20 +314,6 @@ mod tests {
         let h = ClassHierarchy::new(&p);
         let g = StaticCallGraph::build(&p, &h);
         assert_eq!(g.callees[main], vec![fa, fb]);
-    }
-
-    #[test]
-    fn levels_are_antichains() {
-        let (p, _) = cyclic_fixture();
-        let h = ClassHierarchy::new(&p);
-        let dag = SccDag::build(&p, &h);
-        for level in &dag.levels {
-            for &c in level {
-                for &cc in &dag.callee_comps[c as usize] {
-                    assert!(!level.contains(&cc), "call edge within one level");
-                }
-            }
-        }
     }
 
     #[test]

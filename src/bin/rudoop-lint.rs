@@ -14,8 +14,9 @@
 //!                        (default: insens)
 //!   --no-points-to       skip the analysis; run only tier-1 lints
 //!   --timeout <secs>     wall-clock deadline for the backing analysis
-//!                        (watchdog-cancelled). If it fires, tier-2 lints
-//!                        are skipped and the exit code is 2.
+//!                        (run under the supervisor on a one-rung ladder,
+//!                        whose watchdog enforces it). If it fires, tier-2
+//!                        lints are skipped and the exit code is 2.
 //!   --taint-spec <file>  taint sources/sinks/sanitizers (see
 //!                        `rudoop_ir::TaintSpec` for the grammar); enables
 //!                        the T001–T004 taint lints. For @benchmarks the
@@ -23,7 +24,9 @@
 //!                        canonical TaintKit spec.
 //!   --races              run the data-race client on the points-to result
 //!                        and enable the R001–R004 race lints (requires
-//!                        the backing analysis, i.e. not --no-points-to)
+//!                        the backing analysis, i.e. not --no-points-to).
+//!                        For @benchmarks it switches the workload's
+//!                        concurrency battery on, as `rudoop races` does.
 //!   --format <fmt>       text (default) or json — a stable array of
 //!                        {code, level, span, message, location, notes}
 //!   --allow <CODE>       suppress a lint (repeatable)
@@ -50,19 +53,19 @@
 //! position.
 
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use rudoop::analysis::driver::{analyze_flavor, Flavor};
-use rudoop::analysis::solver::{Budget, CancelToken, SolverConfig};
+use rudoop::analysis::driver::Flavor;
+use rudoop::analysis::solver::{Budget, SolverConfig};
+use rudoop::analysis::supervisor::{supervise, LadderSpec, RungSpec, SupervisorConfig};
 use rudoop::analysis::taint::analyze_taint_traced;
 use rudoop::analysis::telemetry::span_opt;
 use rudoop::analysis::{Telemetry, TelemetryHandle};
-use rudoop::ir::{parse_program, ClassHierarchy, Program, TaintSpec};
+use rudoop::cli::load_program_for;
+use rudoop::ir::{ClassHierarchy, TaintSpec};
 use rudoop::lints::diagnostics::{has_errors, render, render_json, validate_diagnostics};
 use rudoop::lints::{Level, LintContext, LintRegistry};
-use rudoop::workloads::dacapo;
 
 struct Options {
     input: String,
@@ -172,28 +175,6 @@ fn parse_args() -> Options {
     opts
 }
 
-/// Loads the program plus, for `--taint-spec builtin` on a `@benchmark`,
-/// the workload's canonical TaintKit spec (switching the taint battery on
-/// in the build, since the default recipes omit it).
-fn load_program(input: &str, builtin_taint: bool) -> Result<(Program, Option<TaintSpec>), String> {
-    if let Some(name) = input.strip_prefix('@') {
-        let mut spec = dacapo::by_name(name)
-            .ok_or_else(|| format!("unknown benchmark {name:?} (try @pmd, @hsqldb, …)"))?;
-        if builtin_taint {
-            spec.taint_flows = spec.taint_flows.max(1);
-        }
-        let program = spec.build();
-        let taint = builtin_taint.then(|| spec.taint_spec(&program));
-        return Ok((program, taint));
-    }
-    if builtin_taint {
-        return Err("--taint-spec builtin requires a @benchmark input".to_owned());
-    }
-    let source = std::fs::read_to_string(input).map_err(|e| format!("{input}: {e}"))?;
-    let program = parse_program(&source).map_err(|e| format!("{input}: {e}"))?;
-    Ok((program, None))
-}
-
 fn main() -> ExitCode {
     let opts = parse_args();
     let tele: TelemetryHandle = (opts.trace.is_some() || opts.profile.is_some() || opts.telemetry)
@@ -244,13 +225,14 @@ fn run(opts: &Options, tele: &TelemetryHandle) -> ExitCode {
     if let Some(s) = &parse_span {
         s.arg("input", &opts.input);
     }
-    let (program, builtin_spec) = match load_program(&opts.input, builtin_taint) {
-        Ok(pair) => pair,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(2);
-        }
-    };
+    let (program, builtin_spec) =
+        match load_program_for("--taint-spec", &opts.input, builtin_taint, opts.races) {
+            Ok(pair) => pair,
+            Err(e) => {
+                eprintln!("error: {e}");
+                return ExitCode::from(2);
+            }
+        };
     drop(parse_span);
     let taint_spec = match &opts.taint_spec {
         None => None,
@@ -279,49 +261,34 @@ fn run(opts: &Options, tele: &TelemetryHandle) -> ExitCode {
     let hierarchy = ClassHierarchy::new(&program);
     let mut degraded = false;
     if diags.is_empty() {
-        let result = opts.points_to.then(|| {
-            let cancel = CancelToken::new();
-            let config = SolverConfig {
+        // The backing analysis runs on a one-rung ladder, so the
+        // supervisor's watchdog enforces `--timeout` even if a worklist
+        // step stalls (the solver's own wall-clock check runs between
+        // steps).
+        let run = opts.points_to.then(|| {
+            let cfg = SupervisorConfig {
+                ladder: LadderSpec {
+                    rungs: vec![RungSpec::direct(opts.flavor)],
+                },
                 budget: opts
                     .timeout
                     .map(Budget::duration)
                     .unwrap_or_else(Budget::unlimited),
-                cancel: Some(cancel.clone()),
-                // The taint and race clients walk per-context points-to
-                // facts.
-                record_contexts: taint_spec.is_some() || opts.races,
-                telemetry: tele.clone(),
-                ..SolverConfig::default()
+                solver: SolverConfig {
+                    // The taint and race clients walk per-context
+                    // points-to facts.
+                    record_contexts: taint_spec.is_some() || opts.races,
+                    telemetry: tele.clone(),
+                    ..SolverConfig::default()
+                },
+                ..SupervisorConfig::default()
             };
-            // Watchdog: enforce the deadline even if a worklist step stalls
-            // (the solver's own wall-clock check runs between steps).
-            let watchdog = opts.timeout.map(|deadline| {
-                let disarm = Arc::new(AtomicBool::new(false));
-                let disarm2 = Arc::clone(&disarm);
-                let handle = std::thread::spawn(move || {
-                    let start = std::time::Instant::now();
-                    while !disarm2.load(Ordering::Relaxed) {
-                        let remaining = deadline.saturating_sub(start.elapsed());
-                        if remaining.is_zero() {
-                            cancel.cancel();
-                            return;
-                        }
-                        std::thread::sleep(remaining.min(Duration::from_millis(5)));
-                    }
-                });
-                (disarm, handle)
-            });
-            let result = analyze_flavor(&program, &hierarchy, opts.flavor, &config);
-            if let Some((disarm, handle)) = watchdog {
-                disarm.store(true, Ordering::Relaxed);
-                let _ = handle.join();
-            }
-            result
+            supervise(&program, &hierarchy, &cfg)
         });
         // A partial analysis would make tier-2 lints unsound to trust
         // (missing points-to facts look like clean code): skip them.
-        degraded = result.as_ref().is_some_and(|r| r.outcome.is_partial());
-        let complete = result.as_ref().filter(|r| r.outcome.is_complete());
+        degraded = run.as_ref().is_some_and(|r| r.result.is_none());
+        let complete = run.as_ref().and_then(|r| r.result.as_ref());
         let taint = match (&taint_spec, complete) {
             (Some(spec), Some(r)) => match analyze_taint_traced(&program, spec, r, tele) {
                 Ok(t) => Some(t),

@@ -19,7 +19,7 @@
 //!   --budget <n>         per-run derivation budget (default: unlimited)
 //!   --max-bytes <n>      per-run modeled memory budget in bytes
 //!   --timeout <secs>     per-run wall-clock deadline (watchdog-enforced
-//!                        in ladder mode)
+//!                        under the supervisor: ladder and client modes)
 //!   --filter-casts       enable assign-cast filtering
 //!   --stats              print the points-to distribution dashboard
 //!   --pts <var>          print the points-to set of Class.method::var
@@ -100,7 +100,7 @@ use rudoop::analysis::driver::{analyze_flavor, analyze_introspective, Flavor};
 use rudoop::analysis::heuristics::{HeuristicA, HeuristicB, RefinementHeuristic};
 use rudoop::analysis::races::supervised_races_traced;
 use rudoop::analysis::solver::{Budget, SolverConfig};
-use rudoop::analysis::supervisor::{supervise, LadderSpec, SupervisorConfig};
+use rudoop::analysis::supervisor::{supervise, LadderSpec, SupervisedRun, SupervisorConfig};
 use rudoop::analysis::taint::supervised_taint_traced;
 use rudoop::analysis::telemetry::span_opt;
 use rudoop::analysis::{
@@ -567,35 +567,17 @@ fn run_taint(
     solver: SolverConfig,
     opts: &Options,
 ) -> ExitCode {
-    let ladder = match (opts.ladder.clone(), opts.introspective) {
-        (Some(l), _) => l,
-        (None, Some(which)) => {
-            let rung = format!("intro{which}:{}", opts.flavor.spec_name());
-            LadderSpec::parse(&rung).expect("canonical introspective rung parses")
-        }
-        (None, None) => LadderSpec::default_for(opts.flavor),
-    };
-    let cfg = SupervisorConfig {
-        ladder,
-        budget,
-        solver,
-        watchdog: opts.timeout.is_some(),
-        warm_first_pass: None,
-        warm_summaries: None,
-    };
-    let tele = cfg.solver.telemetry.clone();
-    let run = supervise(program, hierarchy, &cfg);
-    if opts.json {
-        // Keep stdout a single JSON document; the ladder table is still
-        // useful context, so it moves to stderr.
-        eprint!("{}", render_supervised(&run));
-        let taint = supervised_taint_traced(program, spec, &run, &tele);
-        print!("{}", rudoop::analysis::taint::render_json(program, &taint));
-        return ExitCode::from(run.exit_code());
-    }
+    let tele = solver.telemetry.clone();
+    let run = supervise_client(program, hierarchy, budget, solver, opts);
+    // Keep stdout a single document either way; the ladder table is still
+    // useful context, so it moves to stderr.
     eprint!("{}", render_supervised(&run));
     let taint = supervised_taint_traced(program, spec, &run, &tele);
-    print!("{}", rudoop::analysis::taint::render_text(program, &taint));
+    if opts.json {
+        print!("{}", rudoop::analysis::taint::render_json(program, &taint));
+    } else {
+        print!("{}", rudoop::analysis::taint::render_text(program, &taint));
+    }
     ExitCode::from(run.exit_code())
 }
 
@@ -610,6 +592,30 @@ fn run_races(
     solver: SolverConfig,
     opts: &Options,
 ) -> ExitCode {
+    let tele = solver.telemetry.clone();
+    let run = supervise_client(program, hierarchy, budget, solver, opts);
+    // Keep stdout a single document either way; the ladder table is still
+    // useful context, so it moves to stderr.
+    eprint!("{}", render_supervised(&run));
+    let races = supervised_races_traced(program, &run, &tele);
+    if opts.json {
+        print!("{}", rudoop::analysis::races::render_json(program, &races));
+    } else {
+        print!("{}", rudoop::analysis::races::render_text(&races));
+    }
+    ExitCode::from(run.exit_code())
+}
+
+/// Supervises the points-to analysis a client subcommand runs on: the
+/// `--ladder` spec, or the canonical ladder for `--analysis` and
+/// `--introspective`.
+fn supervise_client(
+    program: &Program,
+    hierarchy: &ClassHierarchy,
+    budget: Budget,
+    solver: SolverConfig,
+    opts: &Options,
+) -> SupervisedRun {
     let ladder = match (opts.ladder.clone(), opts.introspective) {
         (Some(l), _) => l,
         (None, Some(which)) => {
@@ -622,22 +628,9 @@ fn run_races(
         ladder,
         budget,
         solver,
-        watchdog: opts.timeout.is_some(),
-        warm_first_pass: None,
-        warm_summaries: None,
+        ..SupervisorConfig::default()
     };
-    let tele = cfg.solver.telemetry.clone();
-    let run = supervise(program, hierarchy, &cfg);
-    // Keep stdout a single document either way; the ladder table is still
-    // useful context, so it moves to stderr.
-    eprint!("{}", render_supervised(&run));
-    let races = supervised_races_traced(program, &run, &tele);
-    if opts.json {
-        print!("{}", rudoop::analysis::races::render_json(program, &races));
-        return ExitCode::from(run.exit_code());
-    }
-    print!("{}", rudoop::analysis::races::render_text(&races));
-    ExitCode::from(run.exit_code())
+    supervise(program, hierarchy, &cfg)
 }
 
 /// Runs the degradation ladder and maps the verdict onto the exit-code
@@ -654,9 +647,7 @@ fn run_ladder(
         ladder,
         budget,
         solver,
-        watchdog: opts.timeout.is_some(),
-        warm_first_pass: None,
-        warm_summaries: None,
+        ..SupervisorConfig::default()
     };
     let run = supervise(program, hierarchy, &cfg);
     eprint!("{}", render_supervised(&run));

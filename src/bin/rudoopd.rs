@@ -180,7 +180,8 @@ fn main() -> ExitCode {
     let opts = parse_args();
     let builtin_taint = opts.taint_spec.as_deref() == Some("builtin");
     let (program, builtin_spec) =
-        match rudoop::cli::load_program(&opts.input, builtin_taint, opts.races) {
+        match rudoop::cli::load_program_for("--taint-spec", &opts.input, builtin_taint, opts.races)
+        {
             Ok(pair) => pair,
             Err(e) => {
                 eprintln!("error: {e}");

@@ -76,8 +76,21 @@ pub mod cli {
     /// For benchmarks, `builtin_taint` switches the workload's taint
     /// battery on (and returns its canonical TaintKit spec) and `races`
     /// switches the concurrency battery on — the default recipes are
-    /// sequential and taint-free.
+    /// sequential and taint-free. A builtin spec on a file input is an
+    /// error naming `--spec`, the `rudoop` flag; [`load_program_for`]
+    /// names another.
     pub fn load_program(
+        input: &str,
+        builtin_taint: bool,
+        races: bool,
+    ) -> Result<(Program, Option<TaintSpec>), String> {
+        load_program_for("--spec", input, builtin_taint, races)
+    }
+
+    /// [`load_program`] for a binary whose taint-spec flag is
+    /// `taint_flag` (`rudoopd` and `rudoop-lint` take `--taint-spec`).
+    pub fn load_program_for(
+        taint_flag: &str,
         input: &str,
         builtin_taint: bool,
         races: bool,
@@ -96,7 +109,7 @@ pub mod cli {
             return Ok((program, taint));
         }
         if builtin_taint {
-            return Err("--spec builtin requires a @benchmark input".to_owned());
+            return Err(format!("{taint_flag} builtin requires a @benchmark input"));
         }
         let source = std::fs::read_to_string(input).map_err(|e| format!("{input}: {e}"))?;
         let program = parse_program(&source).map_err(|e| format!("{input}: {e}"))?;

@@ -126,6 +126,29 @@ fn benchmark_input_is_linted() {
     assert!(stderr(&out).contains("@antlr:"));
 }
 
+/// `--races` on a `@benchmark` switches the concurrency battery on, as
+/// `rudoop races` does: one R001 finding per race that command reports.
+#[test]
+fn benchmark_races_match_the_races_subcommand() {
+    let lint = rudoop_lint(&["@pmd", "--races", "--format", "json"]);
+    assert!(lint.status.success(), "{lint:?}");
+    let r001 = stdout(&lint).matches("\"code\":\"R001\"").count();
+    let races = Command::new(env!("CARGO_BIN_EXE_rudoop"))
+        .args(["races", "@pmd", "--analysis", "insens"])
+        .output()
+        .expect("failed to run rudoop");
+    assert!(races.status.success(), "{races:?}");
+    let summary = stdout(&races);
+    let count: usize = summary
+        .split(" race(s)")
+        .next()
+        .and_then(|head| head.rsplit(' ').next())
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no race count in {summary}"));
+    assert!(count > 0, "the concurrency battery must produce races");
+    assert_eq!(r001, count, "{summary}");
+}
+
 #[test]
 fn every_shipped_example_program_lints_without_hard_errors() {
     let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("examples/programs");
