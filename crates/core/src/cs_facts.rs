@@ -22,7 +22,7 @@ use std::fmt;
 use rudoop_ir::{AllocId, Instruction, InvokeId, MethodId, Program, VarId};
 
 use crate::context::{CtxId, CtxTables, HCtxId};
-use crate::hash::{FxHashMap, FxHashSet};
+use crate::hash::FxHashMap;
 use crate::solver::{CsDump, PointsToResult};
 use crate::supervisor::SupervisedRun;
 use crate::telemetry::TelemetryHandle;
@@ -183,11 +183,16 @@ impl<'a> CsFacts<'a> {
             .ok_or(ClientError::MissingContextDump)?;
         let canon = CtxCanon::build(dump, &pts.tables);
 
+        // The solver emits each node's tuples contiguously, so one map
+        // entry per run of equal `(var, ctx)` suffices; a split run only
+        // extends the same entry, and the sort below restores order.
         let mut vpt: FxHashMap<(VarId, CtxId), Vec<(AllocId, HCtxId)>> = FxHashMap::default();
-        for &(var, ctx, heap, hctx) in &dump.var_points_to {
-            vpt.entry((var, canon.ctx(ctx)))
-                .or_default()
-                .push((heap, canon.hctx(hctx)));
+        for run in dump.var_points_to.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
+            let (var, ctx, _, _) = run[0];
+            vpt.entry((var, canon.ctx(ctx))).or_default().extend(
+                run.iter()
+                    .map(|&(_, _, heap, hctx)| (heap, canon.hctx(hctx))),
+            );
         }
         for objs in vpt.values_mut() {
             objs.sort_unstable();
@@ -241,46 +246,48 @@ impl<'a> CsFacts<'a> {
 /// BFS tie-breaks when several shortest traces exist) runs on canonical
 /// ids: contexts ranked by their element sequences, which do not depend on
 /// interning order. Original ids survive only for rendering.
+///
+/// Ranks are dense vectors indexed by the raw id, so canonicalizing a
+/// tuple costs two array reads.
 struct CtxCanon {
-    ctx_rank: FxHashMap<CtxId, CtxId>,
-    hctx_rank: FxHashMap<HCtxId, HCtxId>,
+    ctx_rank: Vec<CtxId>,
+    hctx_rank: Vec<HCtxId>,
     ctx_orig: Vec<CtxId>,
     hctx_orig: Vec<HCtxId>,
 }
 
 impl CtxCanon {
     fn build(dump: &CsDump, tables: &CtxTables) -> Self {
-        let mut ctxs: FxHashSet<CtxId> = FxHashSet::default();
-        let mut hctxs: FxHashSet<HCtxId> = FxHashSet::default();
+        let mut ctx_used = vec![false; tables.ctx_count()];
+        let mut hctx_used = vec![false; tables.hctx_count()];
         for &(_, ctx, _, hctx) in &dump.var_points_to {
-            ctxs.insert(ctx);
-            hctxs.insert(hctx);
+            ctx_used[ctx.0 as usize] = true;
+            hctx_used[hctx.0 as usize] = true;
         }
         for &(_, caller, _, callee) in &dump.call_graph {
-            ctxs.insert(caller);
-            ctxs.insert(callee);
+            ctx_used[caller.0 as usize] = true;
+            ctx_used[callee.0 as usize] = true;
         }
         for &(_, ctx) in &dump.reachable {
-            ctxs.insert(ctx);
+            ctx_used[ctx.0 as usize] = true;
         }
 
         // Interning deduplicates, so element sequences are unique per id
         // and sorting by contents is a total order.
-        let mut ctx_orig: Vec<CtxId> = ctxs.into_iter().collect();
+        let mut ctx_orig: Vec<CtxId> = used_ids(&ctx_used).map(CtxId).collect();
         ctx_orig.sort_unstable_by(|&a, &b| tables.ctx_elems(a).cmp(tables.ctx_elems(b)));
-        let mut hctx_orig: Vec<HCtxId> = hctxs.into_iter().collect();
+        let mut hctx_orig: Vec<HCtxId> = used_ids(&hctx_used).map(HCtxId).collect();
         hctx_orig.sort_unstable_by(|&a, &b| tables.hctx_elems(a).cmp(tables.hctx_elems(b)));
 
-        let ctx_rank = ctx_orig
-            .iter()
-            .enumerate()
-            .map(|(rank, &orig)| (orig, CtxId(rank as u32)))
-            .collect();
-        let hctx_rank = hctx_orig
-            .iter()
-            .enumerate()
-            .map(|(rank, &orig)| (orig, HCtxId(rank as u32)))
-            .collect();
+        // Unused ids keep a rank nothing reads.
+        let mut ctx_rank = vec![CtxId(u32::MAX); ctx_used.len()];
+        for (rank, &orig) in ctx_orig.iter().enumerate() {
+            ctx_rank[orig.0 as usize] = CtxId(rank as u32);
+        }
+        let mut hctx_rank = vec![HCtxId(u32::MAX); hctx_used.len()];
+        for (rank, &orig) in hctx_orig.iter().enumerate() {
+            hctx_rank[orig.0 as usize] = HCtxId(rank as u32);
+        }
         CtxCanon {
             ctx_rank,
             hctx_rank,
@@ -290,11 +297,11 @@ impl CtxCanon {
     }
 
     fn ctx(&self, id: CtxId) -> CtxId {
-        self.ctx_rank[&id]
+        self.ctx_rank[id.0 as usize]
     }
 
     fn hctx(&self, id: HCtxId) -> HCtxId {
-        self.hctx_rank[&id]
+        self.hctx_rank[id.0 as usize]
     }
 
     fn orig_ctx(&self, canonical: CtxId) -> CtxId {
@@ -304,6 +311,14 @@ impl CtxCanon {
     fn orig_hctx(&self, canonical: HCtxId) -> HCtxId {
         self.hctx_orig[canonical.0 as usize]
     }
+}
+
+/// The raw ids marked in `used`, ascending.
+fn used_ids(used: &[bool]) -> impl Iterator<Item = u32> + '_ {
+    used.iter()
+        .enumerate()
+        .filter(|&(_, &u)| u)
+        .map(|(id, _)| id as u32)
 }
 
 /// Where call site `invo` sits: its method and the body index of its

@@ -243,10 +243,12 @@ struct AccessInst {
 }
 
 /// [`analyze_races`] with telemetry: the whole client runs under a `races`
-/// span with nested `races-mhp` (thread/EXEC/once-multi computation) and
-/// `races-locks` (regions plus the interprocedural must-lock fixpoint)
-/// spans, and the structural tallies land in the deterministic counter
-/// stream. Passing `&None` is equivalent to the untraced entry point.
+/// span with nested `races-facts` (the fact index), `races-mhp`
+/// (thread/EXEC/once-multi computation), `races-locks` (regions plus the
+/// interprocedural must-lock fixpoint), `races-access` (access instances
+/// and suspect guards) and `races-pairs` (the candidate join) spans, and
+/// the structural tallies land in the deterministic counter stream.
+/// Passing `&None` is equivalent to the untraced entry point.
 pub fn analyze_races_traced(
     program: &Program,
     pts: &PointsToResult,
@@ -257,7 +259,9 @@ pub fn analyze_races_traced(
         s.arg("analysis", &pts.analysis);
     }
     // Everything order-sensitive downstream runs on content-ranked ids.
+    let facts_span = crate::telemetry::span_opt(tele, "races-facts");
     let facts = CsFacts::build(pts, Client::RACES)?;
+    drop(facts_span);
     let (vpt, reachable, call_graph) = (&facts.vpt, &facts.reachable, &facts.call_graph);
 
     // Body index of every invoke site, and the structural shape of every
@@ -521,7 +525,8 @@ pub fn analyze_races_traced(
     }
     drop(locks_span);
 
-    // ---- Access instances ------------------------------------------------
+    // ---- Access instances (races-access span) ----------------------------
+    let access_span = crate::telemetry::span_opt(tele, "races-access");
     let mut exec_nodes: Vec<((MethodId, CtxId), Vec<usize>)> = exec
         .iter()
         .map(|(&k, ts)| (k, ts.iter().copied().collect()))
@@ -537,42 +542,55 @@ pub fn analyze_races_traced(
             .or_default()
             .extend(ts.iter().copied());
     }
-    // Heap contexts each allocation site appears under — a second
-    // instance dimension for suspect guards.
-    let mut alloc_hctxs: FxHashMap<AllocId, BTreeSet<HCtxId>> = FxHashMap::default();
+
+    // Monitor regions whose lock resolves to one allocation site in some
+    // executed context: the candidates for suspect guards.
+    let mut singleton_regions: BTreeSet<SuspectGuard> = BTreeSet::new();
+    for &((m, c), _) in &exec_nodes {
+        for &(enter, _, v) in &shapes[&m].regions {
+            if let LockRes::One(h) = resolve(v, c) {
+                singleton_regions.insert(SuspectGuard {
+                    method: m,
+                    index: enter,
+                    lock: h,
+                });
+            }
+        }
+    }
+    // Heap contexts of those lock allocations only — a second instance
+    // dimension for suspect guards.
+    let mut is_lock = vec![false; program.allocs.len()];
+    for g in &singleton_regions {
+        is_lock[g.lock.0 as usize] = true;
+    }
+    let mut lock_hctxs: FxHashMap<AllocId, BTreeSet<HCtxId>> = FxHashMap::default();
     for objs in vpt.values() {
         for &(a, h) in objs {
-            alloc_hctxs.entry(a).or_default().insert(h);
+            if is_lock[a.0 as usize] {
+                lock_hctxs.entry(a).or_default().insert(h);
+            }
         }
     }
     let multi_instance = |h: AllocId| -> bool {
         let m = program.allocs[h].method;
-        alloc_hctxs.get(&h).map_or(0, BTreeSet::len) >= 2
+        lock_hctxs.get(&h).map_or(0, BTreeSet::len) >= 2
             || multi.contains(&m)
             || method_threads
                 .get(&m)
                 .is_some_and(|ts| ts.len() >= 2 || ts.iter().any(|&t| self_parallel[t]))
     };
+    let suspect_guards: Vec<SuspectGuard> = singleton_regions
+        .into_iter()
+        .filter(|g| multi_instance(g.lock))
+        .collect();
 
     let mut insts: Vec<AccessInst> = Vec::new();
     let mut site_set: FxHashSet<(MethodId, usize)> = FxHashSet::default();
     let mut guarded: FxHashSet<(MethodId, usize)> = FxHashSet::default();
     let mut dead: FxHashSet<(MethodId, usize)> = FxHashSet::default();
-    let mut suspect_guards: BTreeSet<SuspectGuard> = BTreeSet::new();
 
     for ((m, c), threads) in &exec_nodes {
         let (m, c) = (*m, *c);
-        for &(enter, _, v) in &shapes[&m].regions {
-            if let LockRes::One(h) = resolve(v, c) {
-                if multi_instance(h) {
-                    suspect_guards.insert(SuspectGuard {
-                        method: m,
-                        index: enter,
-                        lock: h,
-                    });
-                }
-            }
-        }
         for (i, instr) in program.methods[m].body.iter().enumerate() {
             let (key, base, write) = match *instr {
                 Instruction::Load { base, field, .. } => (RaceKey::Field(field), Some(base), false),
@@ -603,8 +621,10 @@ pub fn analyze_races_traced(
             });
         }
     }
+    drop(access_span);
 
-    // ---- Race candidates -------------------------------------------------
+    // ---- Race candidates (races-pairs span) ------------------------------
+    let pairs_span = crate::telemetry::span_opt(tele, "races-pairs");
     let aliases = |a: &AccessInst, b: &AccessInst| -> bool {
         match (a.base, b.base) {
             (Some(ba), Some(bb)) => {
@@ -671,52 +691,57 @@ pub fn analyze_races_traced(
     type Projected = (RaceKey, (MethodId, usize), (MethodId, usize));
     type Witness = (usize, CtxId, usize, CtxId); // (thread, ctx) per side, site-ordered
     let mut best: FxHashMap<Projected, Witness> = FxHashMap::default();
+    let mut consider = |key: RaceKey, ia: usize, t1: usize, ib: usize, t2: usize| {
+        let (a, b) = (&insts[ia], &insts[ib]);
+        if !(a.write || b.write) || !a.locks.is_disjoint(&b.locks) || !aliases(a, b) {
+            return;
+        }
+        if !mhp(a, t1, b, t2) {
+            return;
+        }
+        // Site-order the witness sides deterministically.
+        let (proj, wit) = if (a.site, a.ctx, t1) <= (b.site, b.ctx, t2) {
+            ((key, a.site, b.site), (t1, a.ctx, t2, b.ctx))
+        } else {
+            ((key, b.site, a.site), (t2, b.ctx, t1, a.ctx))
+        };
+        best.entry(proj)
+            .and_modify(|cur| *cur = (*cur).min(wit))
+            .or_insert(wit);
+    };
+    // Candidate join: per key, the access occurrences `(instance, thread)`
+    // bucketed by thread; only the bucket pairs `mhp` can accept are
+    // walked (DESIGN §11 "Candidate join").
+    let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); thread_roots.len()];
     for &key in &keys {
         let list = &by_key[&key];
         if !list.iter().any(|&i| insts[i].write) {
             continue;
         }
-        for (pos, &ia) in list.iter().enumerate() {
-            for &ib in &list[pos..] {
-                let (a, b) = (&insts[ia], &insts[ib]);
-                if !(a.write || b.write) {
-                    continue;
+        buckets.iter_mut().for_each(Vec::clear);
+        for &i in list {
+            for &t in &insts[i].threads {
+                buckets[t].push(i);
+            }
+        }
+        for (t1, b1) in buckets.iter().enumerate() {
+            if self_parallel[t1] {
+                for (pos, &ia) in b1.iter().enumerate() {
+                    for &ib in &b1[pos..] {
+                        consider(key, ia, t1, ib, t1);
+                    }
                 }
-                if !a.locks.is_disjoint(&b.locks) {
-                    continue;
-                }
-                if !aliases(a, b) {
-                    continue;
-                }
-                for &t1 in &a.threads {
-                    for &t2 in &b.threads {
-                        if ia == ib && t2 < t1 {
-                            continue;
-                        }
-                        if !mhp(a, t1, b, t2) {
-                            continue;
-                        }
-                        // Site-order the witness sides deterministically.
-                        let (proj, wit) = if (a.site, a.ctx, t1) <= (b.site, b.ctx, t2) {
-                            ((key, a.site, b.site), (t1, a.ctx, t2, b.ctx))
-                        } else {
-                            ((key, b.site, a.site), (t2, b.ctx, t1, a.ctx))
-                        };
-                        match best.get_mut(&proj) {
-                            None => {
-                                best.insert(proj, wit);
-                            }
-                            Some(cur) => {
-                                if wit < *cur {
-                                    *cur = wit;
-                                }
-                            }
-                        }
+            }
+            for (t2, b2) in buckets.iter().enumerate().skip(t1 + 1) {
+                for &ia in b1 {
+                    for &ib in b2 {
+                        consider(key, ia, t1, ib, t2);
                     }
                 }
             }
         }
     }
+    drop(pairs_span);
 
     // ---- Escapes (R003) --------------------------------------------------
     let mut escapes: BTreeSet<Escape> = BTreeSet::new();
@@ -770,12 +795,8 @@ pub fn analyze_races_traced(
             }
         }
     };
-    // Shortest-path parents per thread, computed lazily per used thread.
-    let mut bfs_cache: FxHashMap<usize, FxHashMap<CtxNode, Option<CtxNode>>> = FxHashMap::default();
-    let mut bfs_for = |t: usize| -> FxHashMap<CtxNode, Option<CtxNode>> {
-        if let Some(p) = bfs_cache.get(&t) {
-            return p.clone();
-        }
+    // Shortest-path parents of thread `t`'s call chains.
+    let bfs_parents = |t: usize| -> FxHashMap<CtxNode, Option<CtxNode>> {
         let mut roots: Vec<(MethodId, CtxId)> = match thread_roots[t] {
             None => entry_seeds.clone(),
             Some(s) => call_graph
@@ -814,7 +835,6 @@ pub fn analyze_races_traced(
                 }
             }
         }
-        bfs_cache.insert(t, parent.clone());
         parent
     };
     let location = |key: RaceKey| -> String {
@@ -829,9 +849,19 @@ pub fn analyze_races_traced(
             ),
         }
     };
-    let mut render_access =
+    let mut projected: Vec<(Projected, Witness)> = best.into_iter().collect();
+    projected.sort_unstable();
+    // Parents of every thread some witness side runs in, computed once.
+    let parents_of: FxHashMap<usize, FxHashMap<CtxNode, Option<CtxNode>>> = projected
+        .iter()
+        .flat_map(|&(_, (t1, _, t2, _))| [t1, t2])
+        .collect::<BTreeSet<usize>>()
+        .into_iter()
+        .map(|t| (t, bfs_parents(t)))
+        .collect();
+    let render_access =
         |site: (MethodId, usize), ctx: CtxId, t: usize, key: RaceKey| -> RaceAccess {
-            let parents = bfs_for(t);
+            let parents = &parents_of[&t];
             let mut chain = vec![(site.0, ctx)];
             while let Some(Some(prev)) = parents.get(chain.last().unwrap()) {
                 chain.push(*prev);
@@ -872,8 +902,6 @@ pub fn analyze_races_traced(
             }
         };
 
-    let mut projected: Vec<(Projected, Witness)> = best.into_iter().collect();
-    projected.sort_unstable();
     let races: Vec<Race> = projected
         .into_iter()
         .map(|((key, sa, sb), (t1, c1, t2, c2))| Race {
@@ -1322,6 +1350,46 @@ mod tests {
             !races.suspect_guards.is_empty(),
             "run's lock alloc is multi-instance (run reachable from two spawn sites)"
         );
+    }
+
+    /// The spawn site sits in a helper called from two sites, so its
+    /// thread is parallel with itself: the write in `run` races with the
+    /// same write in the other execution, and the witness pairs the
+    /// thread with itself.
+    #[test]
+    fn self_parallel_thread_races_with_itself() {
+        let mut b = ProgramBuilder::new();
+        let obj = b.class("Object", None);
+        let worker = b.class("Worker", Some(obj));
+        let hits = b.field(worker, "hits");
+        let runm = b.method(worker, "run", &[], false);
+        let this = b.this(runm);
+        let rv = b.var(runm, "rv");
+        b.alloc(runm, rv, obj);
+        b.store(runm, this, hits, rv);
+        let start = b.method(obj, "start", &["w"], true);
+        let sw = b.param(start, 0);
+        b.spawn(start, sw);
+        let main = b.method(obj, "main", &[], true);
+        let w = b.var(main, "w");
+        b.alloc(main, w, worker);
+        b.scall(main, None, start, &[w]);
+        b.scall(main, None, start, &[w]);
+        b.entry(main);
+        let p = b.finish();
+        for policy in [
+            &Insensitive as &dyn crate::policy::ContextPolicy,
+            &ObjectSensitive::new(2, 1),
+        ] {
+            let races = analyze_races(&p, &run(&p, policy)).unwrap();
+            assert_eq!(races.races.len(), 1, "{:?}", races.race_set());
+            let race = &races.races[0];
+            assert!(race.a.is_write && race.b.is_write);
+            assert_eq!((race.a.method, race.a.index), (runm, 1));
+            assert_eq!((race.b.method, race.b.index), (runm, 1));
+            assert!(race.a.thread.starts_with("spawn@"), "{}", race.a.thread);
+            assert_eq!(race.a.thread, race.b.thread, "one thread, twice");
+        }
     }
 
     #[test]

@@ -173,7 +173,8 @@ pub fn analyze_taint(
 }
 
 /// [`analyze_taint`] with telemetry: the whole client runs under a `taint`
-/// span with a nested `taint-bfs` span covering the per-label searches, and
+/// span with nested `taint-facts` (the fact index), `taint-graph` (the
+/// propagation graph) and `taint-bfs` (the per-label searches) spans, and
 /// the propagation-graph shape plus the leak/sanitizer tallies land in the
 /// deterministic counter stream (all are computed from canonicalized ids,
 /// so they do not depend on context interning order). Passing `&None` is
@@ -188,9 +189,12 @@ pub fn analyze_taint_traced(
     if let Some(s) = &span {
         s.arg("analysis", &pts.analysis);
     }
+    let facts_span = crate::telemetry::span_opt(tele, "taint-facts");
     let facts = CsFacts::build(pts, Client::TAINT)?;
+    drop(facts_span);
     let (vpt, call_graph) = (&facts.vpt, &facts.call_graph);
 
+    let graph_span = crate::telemetry::span_opt(tele, "taint-graph");
     let mut graph = GraphBuilder::default();
 
     // Intra-procedural flows, per reachable (method, context).
@@ -292,6 +296,7 @@ pub fn analyze_taint_traced(
         targets.sort_unstable();
         targets.dedup();
     }
+    drop(graph_span);
 
     // One BFS per source label, in label order; parent pointers give the
     // shortest derivation to each sink.

@@ -127,10 +127,11 @@ fn check_program(name: &str, program: &Program) -> usize {
 
 // ---------------------------------------------------------------- seeded
 //
-// Six hand-seeded concurrent programs, each stressing a different clause
+// Seven hand-seeded concurrent programs, each stressing a different clause
 // of the race formulation: unguarded sharing, per-thread state that only
 // context sensitivity separates, common-lock exclusion, join ordering,
-// interprocedural must-locks, static slots, and multi-target locks.
+// interprocedural must-locks, static slots, multi-target locks, and a
+// thread that runs in parallel with itself.
 
 /// Two workers bump the same counter field with no guard: one real race
 /// under every flavor.
@@ -368,6 +369,32 @@ fn static_and_many_locks_seed() -> Program {
     b.finish()
 }
 
+/// One worker thread whose spawn site sits in a helper `main` calls twice:
+/// the spawn executes twice, so the thread is parallel with itself, and
+/// its unguarded write in `run` races with the same write in the other
+/// execution. No other pair races: `main` touches no field.
+fn self_parallel_seed() -> Program {
+    let mut b = ProgramBuilder::new();
+    let obj = b.class("Object", None);
+    let worker = b.class("Worker", Some(obj));
+    let hits = b.field(worker, "hits");
+    let runm = b.method(worker, "run", &[], false);
+    let this = b.this(runm);
+    let rv = b.var(runm, "rv");
+    b.alloc(runm, rv, obj);
+    b.store(runm, this, hits, rv);
+    let start = b.method(obj, "start", &["w"], true);
+    let sw = b.param(start, 0);
+    b.spawn(start, sw);
+    let main = b.method(obj, "main", &[], true);
+    let w = b.var(main, "w");
+    b.alloc(main, w, worker);
+    b.scall(main, None, start, &[w]);
+    b.scall(main, None, start, &[w]);
+    b.entry(main);
+    b.finish()
+}
+
 /// A named seed program and its minimum insensitive race count.
 type Seed = (&'static str, fn() -> Program, usize);
 
@@ -389,6 +416,26 @@ fn seeded_concurrent_programs_agree_across_flavors() {
             "{name}: expected ≥ {min_insens} insensitive race(s), got {n}"
         );
     }
+}
+
+/// The only race of `self_parallel_seed` pairs the write in `run` with
+/// itself, under every flavor, in the detector and the model alike.
+#[test]
+fn self_parallel_thread_races_with_itself() {
+    let program = self_parallel_seed();
+    check_program("self_parallel", &program);
+    let hierarchy = ClassHierarchy::new(&program);
+    for policy in [
+        &Insensitive as &dyn ContextPolicy,
+        &ObjectSensitive::new(2, 1),
+    ] {
+        let races = core_races(&program, &hierarchy, policy);
+        assert_eq!(races.len(), 1, "{}: {races:?}", policy.name());
+        let (_, a, b) = races[0];
+        assert_eq!(a, b, "the race pairs one write with itself: {races:?}");
+    }
+    let (intro, _) = introspective_races(&program, &hierarchy, &HeuristicA::default());
+    assert_eq!(intro.len(), 1, "introspective-A: {intro:?}");
 }
 
 #[test]

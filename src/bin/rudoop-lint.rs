@@ -62,7 +62,7 @@ use rudoop::analysis::supervisor::{supervise, LadderSpec, RungSpec, SupervisorCo
 use rudoop::analysis::taint::analyze_taint_traced;
 use rudoop::analysis::telemetry::span_opt;
 use rudoop::analysis::{Telemetry, TelemetryHandle};
-use rudoop::cli::load_program_for;
+use rudoop::cli::{flush_telemetry, load_program_for, print_stdout};
 use rudoop::ir::{ClassHierarchy, TaintSpec};
 use rudoop::lints::diagnostics::{has_errors, render, render_json, validate_diagnostics};
 use rudoop::lints::{Level, LintContext, LintRegistry};
@@ -180,37 +180,26 @@ fn main() -> ExitCode {
     let tele: TelemetryHandle = (opts.trace.is_some() || opts.profile.is_some() || opts.telemetry)
         .then(|| Arc::new(Telemetry::new()));
     let code = run(&opts, &tele);
-    if let Err(e) = flush_telemetry(&tele, &opts) {
+    if let Err(e) = flush_telemetry(
+        &tele,
+        opts.trace.as_deref(),
+        opts.profile.as_deref(),
+        opts.telemetry,
+    ) {
         eprintln!("error: {e}");
         return ExitCode::from(2);
     }
     code
 }
 
-/// Writes the `--trace` / `--profile` sinks and prints the `--telemetry`
-/// summary table (on stderr, per the stream contract).
-fn flush_telemetry(tele: &TelemetryHandle, opts: &Options) -> Result<(), String> {
-    let Some(t) = tele.as_deref() else {
-        return Ok(());
-    };
-    if let Some(path) = &opts.trace {
-        std::fs::write(path, t.chrome_trace()).map_err(|e| format!("{path}: {e}"))?;
-    }
-    if let Some(path) = &opts.profile {
-        std::fs::write(path, t.profile_json()).map_err(|e| format!("{path}: {e}"))?;
-    }
-    if opts.telemetry {
-        eprint!("{}", t.summary());
-    }
-    Ok(())
-}
-
 fn run(opts: &Options, tele: &TelemetryHandle) -> ExitCode {
     let mut registry = LintRegistry::with_defaults();
     if opts.list {
-        for (code, name, description, _) in registry.iter() {
-            println!("{code}  {name:<22} {description}");
-        }
+        let list: String = registry
+            .iter()
+            .map(|(code, name, description, _)| format!("{code}  {name:<22} {description}\n"))
+            .collect();
+        print_stdout(&list);
         return ExitCode::SUCCESS;
     }
     for (code, level) in &opts.levels {
@@ -322,9 +311,9 @@ fn run(opts: &Options, tele: &TelemetryHandle) -> ExitCode {
     }
 
     if opts.json {
-        print!("{}", render_json(&program, &diags));
+        print_stdout(&render_json(&program, &diags));
     } else {
-        print!("{}", render(&program, &diags));
+        print_stdout(&render(&program, &diags));
         let errors = diags
             .iter()
             .filter(|d| d.severity == rudoop::Severity::Error)

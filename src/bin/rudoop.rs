@@ -106,6 +106,7 @@ use rudoop::analysis::telemetry::span_opt;
 use rudoop::analysis::{
     render_supervised, PrecisionMetrics, ResultStats, Telemetry, TelemetryHandle,
 };
+use rudoop::cli::{flush_telemetry, print_stdout};
 use rudoop::ir::{validate, ClassHierarchy, Program, TaintSpec};
 
 struct Options {
@@ -394,7 +395,7 @@ fn run_query() -> ExitCode {
                     analysis,
                     doc,
                 } => {
-                    print!("{doc}");
+                    print_stdout(&doc);
                     eprintln!(
                         "status: {status} ({})",
                         analysis.as_deref().unwrap_or("no completed rung")
@@ -467,7 +468,12 @@ fn main() -> ExitCode {
     };
 
     let code = run(&program, &hierarchy, builtin_spec, budget, config, &opts);
-    if let Err(e) = flush_telemetry(&tele, &opts) {
+    if let Err(e) = flush_telemetry(
+        &tele,
+        opts.trace.as_deref(),
+        opts.profile.as_deref(),
+        opts.telemetry,
+    ) {
         eprintln!("error: {e}");
         return ExitCode::FAILURE;
     }
@@ -574,9 +580,9 @@ fn run_taint(
     eprint!("{}", render_supervised(&run));
     let taint = supervised_taint_traced(program, spec, &run, &tele);
     if opts.json {
-        print!("{}", rudoop::analysis::taint::render_json(program, &taint));
+        print_stdout(&rudoop::analysis::taint::render_json(program, &taint));
     } else {
-        print!("{}", rudoop::analysis::taint::render_text(program, &taint));
+        print_stdout(&rudoop::analysis::taint::render_text(program, &taint));
     }
     ExitCode::from(run.exit_code())
 }
@@ -599,9 +605,9 @@ fn run_races(
     eprint!("{}", render_supervised(&run));
     let races = supervised_races_traced(program, &run, &tele);
     if opts.json {
-        print!("{}", rudoop::analysis::races::render_json(program, &races));
+        print_stdout(&rudoop::analysis::races::render_json(program, &races));
     } else {
-        print!("{}", rudoop::analysis::races::render_text(&races));
+        print_stdout(&rudoop::analysis::races::render_text(&races));
     }
     ExitCode::from(run.exit_code())
 }
@@ -663,24 +669,6 @@ fn run_ladder(
     ExitCode::from(run.exit_code())
 }
 
-/// Writes the `--trace` / `--profile` sinks and prints the `--telemetry`
-/// summary table (on stderr, per the stream contract).
-fn flush_telemetry(tele: &TelemetryHandle, opts: &Options) -> Result<(), String> {
-    let Some(t) = tele.as_deref() else {
-        return Ok(());
-    };
-    if let Some(path) = &opts.trace {
-        std::fs::write(path, t.chrome_trace()).map_err(|e| format!("{path}: {e}"))?;
-    }
-    if let Some(path) = &opts.profile {
-        std::fs::write(path, t.profile_json()).map_err(|e| format!("{path}: {e}"))?;
-    }
-    if opts.telemetry {
-        eprint!("{}", t.summary());
-    }
-    Ok(())
-}
-
 /// The `--stats` / `--pts` / `--dump` reports over one result.
 fn print_reports(
     program: &Program,
@@ -689,21 +677,20 @@ fn print_reports(
     opts: &Options,
 ) {
     if opts.stats {
-        println!();
-        print!(
-            "{}",
+        print_stdout(&format!(
+            "\n{}",
             ResultStats::compute(program, result, 10).render(program)
-        );
+        ));
     }
 
     for query in &opts.pts {
         match rudoop::analysis::stats::render_pts(program, result, query) {
-            Some(doc) => print!("{doc}"),
+            Some(doc) => print_stdout(&doc),
             None => eprintln!("no variable matches {query:?}"),
         }
     }
 
     if opts.dump {
-        print!("{}", rudoop::analysis::stats::render_dump(program, result));
+        print_stdout(&rudoop::analysis::stats::render_dump(program, result));
     }
 }

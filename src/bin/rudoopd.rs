@@ -273,16 +273,10 @@ fn main() -> ExitCode {
 
     server.run();
 
-    if let Some(t) = tele.as_deref() {
-        if let Some(path) = &opts.trace {
-            if let Err(e) = std::fs::write(path, t.chrome_trace()) {
-                eprintln!("error: {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        if opts.telemetry {
-            eprint!("{}", t.summary());
-        }
+    if let Err(e) = rudoop::cli::flush_telemetry(&tele, opts.trace.as_deref(), None, opts.telemetry)
+    {
+        eprintln!("error: {e}");
+        return ExitCode::FAILURE;
     }
     eprintln!("rudoopd: shut down");
     ExitCode::SUCCESS

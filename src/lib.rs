@@ -68,8 +68,51 @@ pub use rudoop_ir::{
 
 /// Shared plumbing for the `rudoop` / `rudoopd` / `rudoop-lint` binaries.
 pub mod cli {
+    use std::io::{ErrorKind, Write as _};
+
+    use rudoop_core::TelemetryHandle;
     use rudoop_ir::{parse_program, Program, TaintSpec};
     use rudoop_workloads::dacapo;
+
+    /// Writes `doc` to stdout: every stdout document of the binaries goes
+    /// through here. A reader that went away (`rudoop … | head`) ends the
+    /// output quietly — nothing is reported and the run keeps its exit
+    /// code. Any other write error is reported on stderr.
+    pub fn print_stdout(doc: &str) {
+        let mut out = std::io::stdout().lock();
+        match out.write_all(doc.as_bytes()).and_then(|()| out.flush()) {
+            Err(e) if e.kind() != ErrorKind::BrokenPipe => eprintln!("error: stdout: {e}"),
+            _ => {}
+        }
+    }
+
+    /// Writes a run's telemetry sinks: the Chrome trace to `trace`, the
+    /// profile to `profile`, and the summary table to stderr when
+    /// `summary` is set. Does nothing when telemetry is off.
+    ///
+    /// # Errors
+    ///
+    /// `path: reason` for the first sink that cannot be written.
+    pub fn flush_telemetry(
+        tele: &TelemetryHandle,
+        trace: Option<&str>,
+        profile: Option<&str>,
+        summary: bool,
+    ) -> Result<(), String> {
+        let Some(t) = tele.as_deref() else {
+            return Ok(());
+        };
+        if let Some(path) = trace {
+            std::fs::write(path, t.chrome_trace()).map_err(|e| format!("{path}: {e}"))?;
+        }
+        if let Some(path) = profile {
+            std::fs::write(path, t.profile_json()).map_err(|e| format!("{path}: {e}"))?;
+        }
+        if summary {
+            eprint!("{}", t.summary());
+        }
+        Ok(())
+    }
 
     /// Loads a program from a `.rdp` path or an `@benchmark` name.
     ///

@@ -90,6 +90,48 @@ fn trace_file_validates_and_covers_the_solve_phases() {
     }
 }
 
+/// Every phase of the two context-sensitive clients shows in the trace as
+/// a span of its own.
+#[test]
+fn client_traces_cover_every_client_phase() {
+    let cases: [(&str, &[&str], &[&str]); 2] = [
+        (
+            "races",
+            &["races", "@antlr"],
+            &[
+                "races",
+                "races-facts",
+                "races-mhp",
+                "races-locks",
+                "races-access",
+                "races-pairs",
+            ],
+        ),
+        (
+            "taint",
+            &["taint", "@antlr", "--spec", "builtin"],
+            &["taint", "taint-facts", "taint-graph", "taint-bfs"],
+        ),
+    ];
+    for (client, args, spans) in cases {
+        let trace = scratch(&format!("{client}.trace.json"));
+        let mut args = args.to_vec();
+        args.extend(["--trace", trace.to_str().unwrap()]);
+        let out = rudoop(&args);
+        assert_eq!(out.status.code(), Some(0), "{out:?}");
+        let text = std::fs::read_to_string(&trace).expect("trace file written");
+        let _ = std::fs::remove_file(&trace);
+        let check = validate_chrome_trace(&text).expect("client trace validates");
+        for name in spans {
+            assert!(
+                check.span_names.contains(*name),
+                "{client}: missing {name} span in {:?}",
+                check.span_names
+            );
+        }
+    }
+}
+
 #[test]
 fn profile_json_has_stable_schema_and_telemetry_summary_is_stderr() {
     let profile = scratch("run.profile.json");
