@@ -232,12 +232,19 @@ impl ObjSet {
     pub(crate) fn iter(&self) -> ObjSetIter<'_> {
         match self {
             ObjSet::Small(ids) => ObjSetIter::Small(ids.iter()),
-            ObjSet::Dense { words, .. } => ObjSetIter::Dense {
-                words,
-                base: 0,
-                bits: 0,
-            },
+            ObjSet::Dense { words, .. } => bit_positions(words),
         }
+    }
+}
+
+/// The positions of the set bits of `words`, ascending: the ids of a dense
+/// set over those words.
+#[inline]
+pub(crate) fn bit_positions(words: &[u64]) -> ObjSetIter<'_> {
+    ObjSetIter::Dense {
+        words,
+        base: 0,
+        bits: 0,
     }
 }
 

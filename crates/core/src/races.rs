@@ -260,9 +260,9 @@ pub fn analyze_races_traced(
     }
     // Everything order-sensitive downstream runs on content-ranked ids.
     let facts_span = crate::telemetry::span_opt(tele, "races-facts");
-    let facts = CsFacts::build(pts, Client::RACES)?;
+    let facts = CsFacts::build(pts, Client::RACES, tele)?;
     drop(facts_span);
-    let (vpt, reachable, call_graph) = (&facts.vpt, &facts.reachable, &facts.call_graph);
+    let (vpt, reachable, call_graph) = (facts.vpt, facts.reachable, facts.call_graph);
 
     // Body index of every invoke site, and the structural shape of every
     // method body.
@@ -1429,51 +1429,63 @@ mod tests {
         assert!(json.contains("\"escapes\": []"));
     }
 
+    /// Two workers, allocated at two sites, share one counter: `run` writes
+    /// it in two receiver contexts, racing with itself.
+    fn counter_shared_by_two_workers() -> Program {
+        let mut b = ProgramBuilder::new();
+        let obj = b.class("Object", None);
+        let counter = b.class("Counter", Some(obj));
+        let worker = b.class("Worker", Some(obj));
+        let hits = b.field(counter, "hits");
+        let cfld = b.field(worker, "c");
+        let runm = b.method(worker, "run", &[], false);
+        let this = b.this(runm);
+        let rc = b.var(runm, "rc");
+        let rv = b.var(runm, "rv");
+        b.load(runm, rc, this, cfld);
+        b.alloc(runm, rv, obj);
+        b.store(runm, rc, hits, rv);
+        let main = b.method(obj, "main", &[], true);
+        let w1 = b.var(main, "w1");
+        let w2 = b.var(main, "w2");
+        let c = b.var(main, "c");
+        b.alloc(main, c, counter);
+        b.alloc(main, w1, worker);
+        b.store(main, w1, cfld, c);
+        b.alloc(main, w2, worker);
+        b.store(main, w2, cfld, c);
+        b.spawn(main, w1);
+        b.spawn(main, w2);
+        b.entry(main);
+        b.finish()
+    }
+
     /// Renumbering the context tables (as a different interning order would)
     /// must not change witnesses or traces: the race client canonicalizes
     /// context ids by content before anything order-sensitive.
     #[test]
     fn witnesses_are_invariant_under_context_renumbering() {
-        use crate::context::CtxTables;
-        let p = private_counters();
-        let result = run(&p, &ObjectSensitive::new(2, 1));
-        assert!(result.outcome.is_complete());
+        for p in [private_counters(), counter_shared_by_two_workers()] {
+            let result = run(&p, &ObjectSensitive::new(2, 1));
+            assert!(result.outcome.is_complete());
 
-        let mut tables = CtxTables::new();
-        let mut cmap = vec![CtxId::EMPTY; result.tables.ctx_count()];
-        for id in (0..result.tables.ctx_count() as u32).rev() {
-            cmap[id as usize] = tables.intern_ctx(result.tables.ctx_elems(CtxId(id)));
-        }
-        let mut hmap = vec![HCtxId::EMPTY; result.tables.hctx_count()];
-        for id in (0..result.tables.hctx_count() as u32).rev() {
-            hmap[id as usize] = tables.intern_hctx(result.tables.hctx_elems(HCtxId(id)));
-        }
-        let mut twin = result.clone();
-        twin.tables = tables;
-        let d = twin.cs_dump.as_mut().unwrap();
-        for t in &mut d.var_points_to {
-            t.1 = cmap[t.1 .0 as usize];
-            t.3 = hmap[t.3 .0 as usize];
-        }
-        for t in &mut d.call_graph {
-            t.1 = cmap[t.1 .0 as usize];
-            t.3 = cmap[t.3 .0 as usize];
-        }
-        for t in &mut d.reachable {
-            t.1 = cmap[t.1 .0 as usize];
-        }
-
-        let a = analyze_races(&p, &result).unwrap();
-        let b = analyze_races(&p, &twin).unwrap();
-        assert_eq!(a.race_set(), b.race_set());
-        assert_eq!(a.suspect_guards, b.suspect_guards);
-        assert_eq!(a.escapes, b.escapes);
-        for (ra, rb) in a.races.iter().zip(&b.races) {
-            assert_eq!(
-                ra.a.trace, rb.a.trace,
-                "traces must not depend on context interning order"
-            );
-            assert_eq!(ra.b.trace, rb.b.trace);
+            // The client runs on `result` first, so the twin is cloned from
+            // a result whose fact index is already built: it must not reuse
+            // it.
+            let a = analyze_races(&p, &result).unwrap();
+            let twin = crate::cs_facts::renumber_contexts(&result);
+            let b = analyze_races(&p, &twin).unwrap();
+            assert_eq!(a.race_set(), b.race_set());
+            assert_eq!(a.suspect_guards, b.suspect_guards);
+            assert_eq!(a.escapes, b.escapes);
+            assert_eq!(a.races.len(), b.races.len());
+            for (ra, rb) in a.races.iter().zip(&b.races) {
+                assert_eq!(
+                    ra.a.trace, rb.a.trace,
+                    "traces must not depend on context interning order"
+                );
+                assert_eq!(ra.b.trace, rb.b.trace);
+            }
         }
     }
 }

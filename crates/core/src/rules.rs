@@ -22,6 +22,7 @@
 //! a time, lives in [`crate::solver`].
 
 use std::collections::VecDeque;
+use std::sync::OnceLock;
 use std::time::Instant;
 
 use rudoop_ir::{
@@ -669,7 +670,8 @@ impl<'p> Core<'p> {
     }
 
     /// Projects the context-sensitive relations onto the client-facing
-    /// [`PointsToResult`] (plus the raw tuples when recording).
+    /// [`PointsToResult`] (plus, when recording, the final node table as
+    /// its [`CsDump`]).
     pub(crate) fn finish(self) -> PointsToResult {
         let duration = self.start.elapsed();
 
@@ -710,36 +712,11 @@ impl<'p> Core<'p> {
             global_pts.insert(global, set);
         });
 
-        let mut dump = self.config.record_contexts.then(CsDump::default);
-        if let Some(d) = dump.as_mut() {
-            for (kind, pts) in self.graph.kinds.iter().zip(&self.graph.pts) {
-                for obj in pts.iter().map(|o| self.objs[o as usize]) {
-                    match *kind {
-                        NodeKind::Var(v, ctx) => {
-                            d.var_points_to.push((v, ctx, obj.heap(), obj.hctx()))
-                        }
-                        NodeKind::Field(base, field) => d.field_points_to.push((
-                            base.heap(),
-                            base.hctx(),
-                            field,
-                            obj.heap(),
-                            obj.hctx(),
-                        )),
-                        NodeKind::Global(_) => {}
-                    }
-                }
-            }
-        }
-
         let mut call_targets: FxHashMap<InvokeId, Vec<MethodId>> = FxHashMap::default();
         for &(ic, mc) in &self.cg_edges {
             let invoke = InvokeId((ic >> 32) as u32);
             let target = MethodId((mc >> 32) as u32);
             call_targets.entry(invoke).or_default().push(target);
-            if let Some(d) = dump.as_mut() {
-                d.call_graph
-                    .push((invoke, CtxId(ic as u32), target, CtxId(mc as u32)));
-            }
         }
         for set in call_targets.values_mut() {
             set.sort_unstable();
@@ -750,9 +727,6 @@ impl<'p> Core<'p> {
         for &key in &self.reachable {
             let m = MethodId((key >> 32) as u32);
             reachable_methods.insert(m);
-            if let Some(d) = dump.as_mut() {
-                d.reachable.push((m, CtxId(key as u32)));
-            }
         }
 
         let stats = SolverStats {
@@ -767,6 +741,16 @@ impl<'p> Core<'p> {
             edges: self.edge_set.len() as u64,
             duration,
         };
+        // The clients read the final node table itself: move it out
+        // rather than drop it.
+        let cs_dump = self.config.record_contexts.then(|| CsDump {
+            kinds: self.graph.kinds,
+            pts: self.graph.pts,
+            objs: self.objs,
+            cg_edges: self.cg_edges,
+            reachable: self.reachable,
+            index: OnceLock::new(),
+        });
 
         PointsToResult {
             analysis: self.policy.name(),
@@ -783,7 +767,7 @@ impl<'p> Core<'p> {
             call_targets,
             reachable_methods,
             tables: self.tables,
-            cs_dump: dump,
+            cs_dump,
         }
     }
 }

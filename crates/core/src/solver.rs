@@ -28,18 +28,19 @@
 
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use rudoop_ir::{
     AllocId, ClassHierarchy, FieldId, GlobalId, IdxVec, InvokeId, MethodId, Program, VarId,
 };
 
-use crate::bitset::IdBitSet;
-use crate::context::{CtxId, CtxTables, HCtxId};
-use crate::hash::FxHashMap;
+use crate::bitset::{IdBitSet, ObjSet};
+use crate::context::{CObj, CtxId, CtxTables, HCtxId};
+use crate::cs_facts::CsIndex;
+use crate::hash::{FxHashMap, FxHashSet};
 use crate::policy::ContextPolicy;
-use crate::rules::{cast_admits, Core};
+use crate::rules::{cast_admits, Core, NodeKind};
 
 /// Resource limits for one solver run.
 ///
@@ -273,9 +274,11 @@ impl Outcome {
 pub struct SolverConfig {
     /// Resource limits (default: unlimited).
     pub budget: Budget,
-    /// Record the full context-sensitive tuples in
-    /// [`PointsToResult::cs_dump`] (used by differential tests; costs
-    /// memory, off by default).
+    /// Keep the final context-sensitive relations in
+    /// [`PointsToResult::cs_dump`]: the solver's final node table outlives
+    /// the run instead of being dropped. The taint and race clients need
+    /// it, and the differential tests read it; off by default, since it
+    /// keeps every points-to set alive as long as the result.
     pub record_contexts: bool,
     /// Filter object flow at `cast` instructions by the cast's target type
     /// (Doop's assign-cast filtering). Off by default to match the paper's
@@ -392,40 +395,101 @@ impl SolverStats {
     }
 }
 
-/// Full context-sensitive relations, recorded when
+/// The final context-sensitive relations of a run, kept when
 /// [`SolverConfig::record_contexts`] is set.
+///
+/// The dump is the solver's own final node table, moved out of the solver
+/// rather than copied: every node's kind and points-to set, the interned
+/// context-qualified objects the sets name, and the call-graph and
+/// reachability sets. The iterators below read it as the model's four
+/// relations, each tuple in the order the solver recorded it: node order,
+/// then object id order within a node; the call graph and reachability in
+/// the order of their hash sets.
+///
+/// The context-sensitive clients read it through the canonical fact index
+/// ([`crate::cs_facts::CsFacts`]), which is built from the node sets on
+/// first use and then lives as long as the dump.
 #[derive(Debug, Clone, Default)]
 pub struct CsDump {
-    /// VARPOINTSTO tuples.
-    pub var_points_to: Vec<(VarId, CtxId, AllocId, HCtxId)>,
-    /// FLDPOINTSTO tuples.
-    pub field_points_to: Vec<(AllocId, HCtxId, FieldId, AllocId, HCtxId)>,
-    /// CALLGRAPH tuples.
-    pub call_graph: Vec<(InvokeId, CtxId, MethodId, CtxId)>,
-    /// REACHABLE tuples.
-    pub reachable: Vec<(MethodId, CtxId)>,
+    pub(crate) kinds: Vec<NodeKind>,
+    pub(crate) pts: Vec<ObjSet>,
+    /// Every context-qualified object, indexed by the ids `pts` holds.
+    pub(crate) objs: Vec<CObj>,
+    /// Call edges, packed `(invoke << 32 | caller ctx, method << 32 |
+    /// callee ctx)`.
+    pub(crate) cg_edges: FxHashSet<(u64, u64)>,
+    /// Reachable methods, packed `method << 32 | ctx`.
+    pub(crate) reachable: FxHashSet<u64>,
+    /// The clients' canonical fact index, built on first use.
+    pub(crate) index: OnceLock<CsIndex>,
 }
 
 impl CsDump {
-    /// Var-points-to indexed by `(var, ctx)`, each set sorted and
-    /// deduplicated — the shape clients that re-traverse value flow (the
-    /// taint analysis) consume.
-    pub fn var_pts_index(&self) -> FxHashMap<(VarId, CtxId), Vec<(AllocId, HCtxId)>> {
-        let mut index: FxHashMap<(VarId, CtxId), Vec<(AllocId, HCtxId)>> = FxHashMap::default();
-        for &(var, ctx, heap, hctx) in &self.var_points_to {
-            index.entry((var, ctx)).or_default().push((heap, hctx));
-        }
-        for objs in index.values_mut() {
-            objs.sort_unstable();
-            objs.dedup();
-        }
-        index
+    /// Each variable node's `(var, ctx)` and points-to set, in node order.
+    pub(crate) fn var_sets(&self) -> impl Iterator<Item = (VarId, CtxId, &ObjSet)> + '_ {
+        self.kinds
+            .iter()
+            .zip(&self.pts)
+            .filter_map(|(kind, pts)| match *kind {
+                NodeKind::Var(var, ctx) => Some((var, ctx, pts)),
+                NodeKind::Field(..) | NodeKind::Global(_) => None,
+            })
+    }
+
+    /// VARPOINTSTO tuples `(var, ctx, heap, hctx)`.
+    pub fn var_points_to(&self) -> impl Iterator<Item = (VarId, CtxId, AllocId, HCtxId)> + '_ {
+        self.var_sets().flat_map(move |(var, ctx, pts)| {
+            pts.iter().map(move |o| {
+                let obj = self.objs[o as usize];
+                (var, ctx, obj.heap(), obj.hctx())
+            })
+        })
+    }
+
+    /// FLDPOINTSTO tuples `(base heap, base hctx, field, heap, hctx)`.
+    pub fn field_points_to(
+        &self,
+    ) -> impl Iterator<Item = (AllocId, HCtxId, FieldId, AllocId, HCtxId)> + '_ {
+        self.kinds
+            .iter()
+            .zip(&self.pts)
+            .filter_map(|(kind, pts)| match *kind {
+                NodeKind::Field(base, field) => Some((base, field, pts)),
+                NodeKind::Var(..) | NodeKind::Global(_) => None,
+            })
+            .flat_map(move |(base, field, pts)| {
+                pts.iter().map(move |o| {
+                    let obj = self.objs[o as usize];
+                    (base.heap(), base.hctx(), field, obj.heap(), obj.hctx())
+                })
+            })
+    }
+
+    /// CALLGRAPH tuples `(site, caller ctx, callee, callee ctx)`.
+    pub fn call_graph(&self) -> impl Iterator<Item = (InvokeId, CtxId, MethodId, CtxId)> + '_ {
+        self.cg_edges.iter().map(|&(ic, mc)| {
+            let ((invoke, caller), (method, callee)) = (unpack(ic), unpack(mc));
+            (InvokeId(invoke), caller, MethodId(method), callee)
+        })
+    }
+
+    /// REACHABLE tuples `(method, ctx)`.
+    pub fn reachable(&self) -> impl Iterator<Item = (MethodId, CtxId)> + '_ {
+        self.reachable.iter().map(|&key| {
+            let (method, ctx) = unpack(key);
+            (MethodId(method), ctx)
+        })
     }
 }
 
+/// Splits a packed `id << 32 | ctx` key.
+fn unpack(key: u64) -> (u32, CtxId) {
+    ((key >> 32) as u32, CtxId(key as u32))
+}
+
 /// The output of one analysis run: projected (context-insensitive)
-/// relations for clients, statistics, and optionally the raw
-/// context-sensitive tuples.
+/// relations for clients, statistics, and optionally the final
+/// context-sensitive relations ([`CsDump`]).
 ///
 /// Projections are what the paper's precision metrics consume — e.g. "calls
 /// that cannot be devirtualized" needs per-invocation target sets with
@@ -456,7 +520,8 @@ pub struct PointsToResult {
     pub reachable_methods: IdBitSet<MethodId>,
     /// Context tables of the run (for inspecting context strings).
     pub tables: CtxTables,
-    /// Raw context-sensitive tuples, when requested.
+    /// The final context-sensitive relations, when
+    /// [`SolverConfig::record_contexts`] is set.
     pub cs_dump: Option<CsDump>,
 }
 
@@ -1057,8 +1122,8 @@ mod tests {
         let r = analyze(&p, &hierarchy, &Insensitive, &config);
         assert!(r.outcome.is_complete(), "stopped early: {:?}", r.exhaustion);
         let dump = r.cs_dump.unwrap_or_default();
-        assert_eq!(dump.var_points_to.len(), 1);
-        assert_eq!(dump.reachable.len(), 1);
+        assert_eq!(dump.var_points_to().count(), 1);
+        assert_eq!(dump.reachable().count(), 1);
         assert!(r.stats.cs_var_points_to >= 1);
     }
 }

@@ -190,15 +190,15 @@ pub fn analyze_taint_traced(
         s.arg("analysis", &pts.analysis);
     }
     let facts_span = crate::telemetry::span_opt(tele, "taint-facts");
-    let facts = CsFacts::build(pts, Client::TAINT)?;
+    let facts = CsFacts::build(pts, Client::TAINT, tele)?;
     drop(facts_span);
-    let (vpt, call_graph) = (&facts.vpt, &facts.call_graph);
+    let (vpt, call_graph) = (facts.vpt, facts.call_graph);
 
     let graph_span = crate::telemetry::span_opt(tele, "taint-graph");
     let mut graph = GraphBuilder::default();
 
     // Intra-procedural flows, per reachable (method, context).
-    for &(meth, ctx) in &facts.reachable {
+    for &(meth, ctx) in facts.reachable {
         let m = &program.methods[meth];
         for instr in &m.body {
             match *instr {
@@ -742,7 +742,6 @@ mod tests {
     /// canonicalizes context ids by content before anything order-sensitive.
     #[test]
     fn traces_are_invariant_under_context_renumbering() {
-        use crate::context::CtxTables;
         use crate::policy::ObjectSensitive;
 
         // Two receivers calling the same tainted pipeline, so 2obj creates
@@ -792,37 +791,14 @@ mod tests {
         assert!(result.outcome.is_complete());
         let dump = result.cs_dump.as_ref().unwrap();
         assert!(
-            dump.reachable.iter().any(|&(_, c)| c != CtxId::EMPTY),
+            dump.reachable().any(|(_, c)| c != CtxId::EMPTY),
             "fixture must exercise non-empty contexts"
         );
 
-        // Build a permuted twin: intern the same context contents in
-        // reverse order, remap every dump tuple accordingly.
-        let mut tables = CtxTables::new();
-        let mut cmap = vec![CtxId::EMPTY; result.tables.ctx_count()];
-        for id in (0..result.tables.ctx_count() as u32).rev() {
-            cmap[id as usize] = tables.intern_ctx(result.tables.ctx_elems(CtxId(id)));
-        }
-        let mut hmap = vec![HCtxId::EMPTY; result.tables.hctx_count()];
-        for id in (0..result.tables.hctx_count() as u32).rev() {
-            hmap[id as usize] = tables.intern_hctx(result.tables.hctx_elems(HCtxId(id)));
-        }
-        let mut twin = result.clone();
-        twin.tables = tables;
-        let d = twin.cs_dump.as_mut().unwrap();
-        for t in &mut d.var_points_to {
-            t.1 = cmap[t.1 .0 as usize];
-            t.3 = hmap[t.3 .0 as usize];
-        }
-        for t in &mut d.call_graph {
-            t.1 = cmap[t.1 .0 as usize];
-            t.3 = cmap[t.3 .0 as usize];
-        }
-        for t in &mut d.reachable {
-            t.1 = cmap[t.1 .0 as usize];
-        }
-
+        // The client runs on `result` first, so the twin is cloned from a
+        // result whose fact index is already built: it must not reuse it.
         let a = analyze_taint(&p, &spec, &result).unwrap();
+        let twin = crate::cs_facts::renumber_contexts(&result);
         let b = analyze_taint(&p, &spec, &twin).unwrap();
         assert_eq!(a.leak_set(), b.leak_set());
         assert_eq!(a.sanitizer_calls, b.sanitizer_calls);

@@ -44,22 +44,22 @@ impl Fnv {
 /// order.
 fn dump_digest(dump: &CsDump) -> u64 {
     let mut h = Fnv(0xcbf2_9ce4_8422_2325);
-    h.word(dump.var_points_to.len() as u32);
-    for &(v, c, a, hc) in &dump.var_points_to {
+    h.word(dump.var_points_to().count() as u32);
+    for (v, c, a, hc) in dump.var_points_to() {
         [v.0, c.0, a.0, hc.0].into_iter().for_each(|w| h.word(w));
     }
-    h.word(dump.field_points_to.len() as u32);
-    for &(b, bc, f, a, hc) in &dump.field_points_to {
+    h.word(dump.field_points_to().count() as u32);
+    for (b, bc, f, a, hc) in dump.field_points_to() {
         [b.0, bc.0, f.0, a.0, hc.0]
             .into_iter()
             .for_each(|w| h.word(w));
     }
-    h.word(dump.call_graph.len() as u32);
-    for &(i, c, m, mc) in &dump.call_graph {
+    h.word(dump.call_graph().count() as u32);
+    for (i, c, m, mc) in dump.call_graph() {
         [i.0, c.0, m.0, mc.0].into_iter().for_each(|w| h.word(w));
     }
-    h.word(dump.reachable.len() as u32);
-    for &(m, c) in &dump.reachable {
+    h.word(dump.reachable().count() as u32);
+    for (m, c) in dump.reachable() {
         [m.0, c.0].into_iter().for_each(|w| h.word(w));
     }
     h.0

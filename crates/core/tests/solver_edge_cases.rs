@@ -121,10 +121,9 @@ fn deep_heap_contexts_distinguish_allocator_chains() {
     assert!(r.outcome.is_complete(), "stopped early: {:?}", r.exhaustion);
     let dump = r.cs_dump.unwrap_or_default();
     let inner_hctxs: std::collections::BTreeSet<HCtxId> = dump
-        .var_points_to
-        .iter()
-        .filter(|&&(v, _, _, _)| v == i1 || v == i2)
-        .map(|&(_, _, _, hc)| hc)
+        .var_points_to()
+        .filter(|&(v, _, _, _)| v == i1 || v == i2)
+        .map(|(_, _, _, hc)| hc)
         .collect();
     assert_eq!(inner_hctxs.len(), 2, "one heap context per wrapper");
 }

@@ -37,23 +37,20 @@ fn canonical_solver(
     let dump = r.cs_dump.unwrap_or_default();
     let t = &r.tables;
     let mut var_points_to: Vec<_> = dump
-        .var_points_to
-        .iter()
-        .map(|&(v, c, h, hc)| (v.0, t.ctx_elems(c).to_vec(), h.0, t.hctx_elems(hc).to_vec()))
+        .var_points_to()
+        .map(|(v, c, h, hc)| (v.0, t.ctx_elems(c).to_vec(), h.0, t.hctx_elems(hc).to_vec()))
         .collect();
     var_points_to.sort();
     var_points_to.dedup();
     let mut call_graph: Vec<_> = dump
-        .call_graph
-        .iter()
-        .map(|&(i, c1, m, c2)| (i.0, t.ctx_elems(c1).to_vec(), m.0, t.ctx_elems(c2).to_vec()))
+        .call_graph()
+        .map(|(i, c1, m, c2)| (i.0, t.ctx_elems(c1).to_vec(), m.0, t.ctx_elems(c2).to_vec()))
         .collect();
     call_graph.sort();
     call_graph.dedup();
     let mut reachable: Vec<_> = dump
-        .reachable
-        .iter()
-        .map(|&(m, c)| (m.0, t.ctx_elems(c).to_vec()))
+        .reachable()
+        .map(|(m, c)| (m.0, t.ctx_elems(c).to_vec()))
         .collect();
     reachable.sort();
     reachable.dedup();

@@ -41,9 +41,8 @@ fn solver_tuples(p: &Program, policy: &dyn ContextPolicy) -> (Tuples, Tuples) {
     let dump = r.cs_dump.unwrap_or_default();
     let t = &r.tables;
     let mut vpt: Tuples = dump
-        .var_points_to
-        .iter()
-        .map(|&(v, c, hp, hc)| {
+        .var_points_to()
+        .map(|(v, c, hp, hc)| {
             (
                 v.0,
                 t.ctx_elems(c).to_vec(),
@@ -55,9 +54,8 @@ fn solver_tuples(p: &Program, policy: &dyn ContextPolicy) -> (Tuples, Tuples) {
     vpt.sort();
     vpt.dedup();
     let mut cg: Tuples = dump
-        .call_graph
-        .iter()
-        .map(|&(i, c1, m, c2)| (i.0, t.ctx_elems(c1).to_vec(), m.0, t.ctx_elems(c2).to_vec()))
+        .call_graph()
+        .map(|(i, c1, m, c2)| (i.0, t.ctx_elems(c1).to_vec(), m.0, t.ctx_elems(c2).to_vec()))
         .collect();
     cg.sort();
     cg.dedup();

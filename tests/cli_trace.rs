@@ -132,6 +132,42 @@ fn client_traces_cover_every_client_phase() {
     }
 }
 
+/// The clients' fact index is built once per points-to result: one
+/// `cs-index` span when one client runs, and still one when `rudoop-lint`
+/// runs both over the same result.
+#[test]
+fn fact_index_is_built_once_per_result() {
+    let lint = scratch("lint.index.trace.json");
+    let races = scratch("races.index.trace.json");
+    let runs = [
+        (
+            rudoop_lint(&[
+                "@pmd",
+                "--races",
+                "--taint-spec",
+                "builtin",
+                "--trace",
+                lint.to_str().unwrap(),
+            ]),
+            lint,
+        ),
+        (
+            rudoop(&["races", "@antlr", "--trace", races.to_str().unwrap()]),
+            races,
+        ),
+    ];
+    for (out, trace) in runs {
+        assert_eq!(out.status.code(), Some(0), "{out:?}");
+        let text = std::fs::read_to_string(&trace).expect("trace file written");
+        let _ = std::fs::remove_file(&trace);
+        validate_chrome_trace(&text).expect("trace validates");
+        for ph in ["B", "E"] {
+            let marker = format!("\"name\":\"cs-index\",\"cat\":\"rudoop\",\"ph\":\"{ph}\"");
+            assert_eq!(text.matches(&marker).count(), 1, "{trace:?}: {ph} events");
+        }
+    }
+}
+
 #[test]
 fn profile_json_has_stable_schema_and_telemetry_summary_is_stderr() {
     let profile = scratch("run.profile.json");
