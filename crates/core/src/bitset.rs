@@ -213,6 +213,18 @@ impl ObjSet {
         }
     }
 
+    /// Whether the two sets share an id.
+    pub(crate) fn intersects(&self, other: &ObjSet) -> bool {
+        match (self, other) {
+            (ObjSet::Dense { words: a, .. }, ObjSet::Dense { words: b, .. }) => {
+                a.iter().zip(b).any(|(x, y)| x & y != 0)
+            }
+            (ObjSet::Small(ids), set) | (set, ObjSet::Small(ids)) => ids
+                .iter()
+                .any(|&id| set.covers_mask(id as usize / 64, &[1 << (id % 64)])),
+        }
+    }
+
     /// Number of ids in the set.
     #[inline]
     pub(crate) fn len(&self) -> usize {
@@ -439,6 +451,37 @@ mod tests {
                 "seed {seed} probe {probe:?}"
             );
         }
+    }
+
+    /// `intersects` against a `BTreeSet` model, on small/small,
+    /// small/dense and dense/dense pairs in both argument orders. Dense
+    /// sets grow to their highest id, so pairs drawn from different
+    /// domains have unequal word lengths.
+    #[test]
+    fn intersects_matches_a_btree_model() {
+        let dense = |s: &ObjSet| matches!(s, ObjSet::Dense { .. });
+        let mut forms = BTreeSet::new();
+        let mut unequal_words = false;
+        for seed in 0..512u64 {
+            let mut rng = SplitMix64::new(seed);
+            let domains = [40, 64, 130, 700, 5000];
+            let sizes = [0, 1, 5, SMALL_MAX, 3 * SMALL_MAX];
+            let draw = |rng: &mut SplitMix64| {
+                let (domain, size) = (domains[rng.below(5)], sizes[rng.below(5)]);
+                random_set(rng, domain, size)
+            };
+            let (a, b) = (draw(&mut rng), draw(&mut rng));
+            let (ma, mb): (BTreeSet<u32>, BTreeSet<u32>) = (a.iter().collect(), b.iter().collect());
+            let want = !ma.is_disjoint(&mb);
+            assert_eq!(a.intersects(&b), want, "seed {seed}");
+            assert_eq!(b.intersects(&a), want, "seed {seed}");
+            forms.insert((dense(&a), dense(&b), want));
+            if let (ObjSet::Dense { words: wa, .. }, ObjSet::Dense { words: wb, .. }) = (&a, &b) {
+                unequal_words |= wa.len() != wb.len();
+            }
+        }
+        assert_eq!(forms.len(), 8, "every pairing, intersecting or not");
+        assert!(unequal_words, "some dense pair has unequal word lengths");
     }
 
     #[test]

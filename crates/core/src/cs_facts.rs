@@ -5,12 +5,15 @@
 //! and both must stay independent of the order in which the solver
 //! interned contexts. This module holds what they have in common:
 //!
-//! - [`CsFacts`]: the completeness and dump checks, then the dump's `vpt`,
-//!   `reachable` and `call_graph` relations over content-ranked context
-//!   ids, sorted. The index behind it is built once per dump, straight
-//!   from the solver's final node sets (already sorted by interned object
-//!   id), and cached in the dump, so every client of one result shares
-//!   one build;
+//! - [`CsFacts`]: the completeness and dump checks, then the dump's
+//!   var-points-to, `reachable` and `call_graph` relations over
+//!   content-ranked context ids. Points-to sets are the solver's own final
+//!   node sets, read in place: the index maps each `(var, canonical ctx)`
+//!   to its node and each object id to its `(allocation, canonical heap
+//!   context)`, and copies no set. Clients that need a set in
+//!   `(allocation, heap context)` order ask for a sorted copy of that one
+//!   set. The index is built once per dump and cached in it, so every
+//!   client of one result shares one build;
 //! - [`ClientError`]: why a client could not run;
 //! - [`Supervised`]: a client's outcome under the supervisor's exit
 //!   contract (analyzed on a completed rung, or skipped);
@@ -153,14 +156,13 @@ pub(crate) fn supervised<T>(
 }
 
 /// A complete points-to result's context-sensitive relations over
-/// canonical context ids, as every client consumes them: a view of the
-/// index cached in the dump, plus the context tables that render it.
+/// canonical context ids, as every client consumes them: the dump's own
+/// node sets behind the index cached in the dump, plus the context tables
+/// that render them.
 pub struct CsFacts<'a> {
-    canon: &'a CtxCanon,
+    index: &'a CsIndex,
+    sets: &'a [ObjSet],
     tables: &'a CtxTables,
-    /// Points-to set of each `(variable, context)` with a non-empty set,
-    /// sorted by `(allocation, heap context)`.
-    pub vpt: &'a FxHashMap<(VarId, CtxId), Vec<(AllocId, HCtxId)>>,
     /// Reachable `(method, context)` pairs, sorted.
     pub reachable: &'a [(MethodId, CtxId)],
     /// Resolved call edges `(site, caller context, callee, callee
@@ -194,19 +196,57 @@ impl<'a> CsFacts<'a> {
         Ok(dump.facts(&pts.tables, tele))
     }
 
+    /// The object ids `var` points to in canonical context `ctx`, or
+    /// `None` when the set is empty.
+    pub(crate) fn pts(&self, var: VarId, ctx: CtxId) -> Option<&'a ObjSet> {
+        let node = *self.index.nodes.get(&(var, ctx))?;
+        Some(&self.sets[node as usize])
+    }
+
+    /// Object `id`'s allocation and canonical heap context.
+    pub(crate) fn obj(&self, id: u32) -> (AllocId, HCtxId) {
+        self.index.objs[id as usize]
+    }
+
+    /// Every object some variable points to, once each.
+    pub(crate) fn objects(&self) -> impl Iterator<Item = (AllocId, HCtxId)> + '_ {
+        self.index.used.iter().map(|&o| self.obj(o))
+    }
+
+    /// The points-to set of `var` in canonical context `ctx`, sorted by
+    /// `(allocation, heap context)`; empty when there is none.
+    pub fn points_to(&self, var: VarId, ctx: CtxId) -> Vec<(AllocId, HCtxId)> {
+        let mut set: Vec<_> = self
+            .pts(var, ctx)
+            .into_iter()
+            .flat_map(ObjSet::iter)
+            .map(|o| self.obj(o))
+            .collect();
+        set.sort_unstable();
+        set
+    }
+
+    /// How many `(variable, context)` pairs have a non-empty set.
+    pub fn key_count(&self) -> usize {
+        self.index.nodes.len()
+    }
+
     /// Whether canonical context `ctx` is the empty context.
     pub(crate) fn ctx_is_empty(&self, ctx: CtxId) -> bool {
-        self.tables.ctx_elems(self.canon.orig_ctx(ctx)).is_empty()
+        self.tables
+            .ctx_elems(self.index.canon.orig_ctx(ctx))
+            .is_empty()
     }
 
     /// Renders canonical context `ctx` as the solver's tables print it.
     pub(crate) fn display_ctx(&self, ctx: CtxId, program: &Program) -> String {
-        self.tables.display_ctx(self.canon.orig_ctx(ctx), program)
+        self.tables
+            .display_ctx(self.index.canon.orig_ctx(ctx), program)
     }
 
     /// The elements of canonical heap context `hctx`.
     pub(crate) fn hctx_elems(&self, hctx: HCtxId) -> &[crate::context::ContextElem] {
-        self.tables.hctx_elems(self.canon.orig_hctx(hctx))
+        self.tables.hctx_elems(self.index.canon.orig_hctx(hctx))
     }
 }
 
@@ -221,40 +261,43 @@ impl CsDump {
             CsIndex::build(self, tables)
         });
         CsFacts {
-            canon: &index.canon,
+            index,
+            sets: &self.pts,
             tables,
-            vpt: &index.vpt,
             reachable: &index.reachable,
             call_graph: &index.call_graph,
         }
     }
 }
 
-/// The relations behind [`CsFacts`], built once per dump from the node
-/// sets.
+/// The index behind [`CsFacts`], built once per dump. It holds no
+/// points-to set: those stay in the dump's nodes.
 #[derive(Debug, Clone)]
 pub(crate) struct CsIndex {
     canon: CtxCanon,
-    vpt: FxHashMap<(VarId, CtxId), Vec<(AllocId, HCtxId)>>,
+    /// The node of each `(variable, canonical context)` with a non-empty
+    /// set.
+    nodes: FxHashMap<(VarId, CtxId), u32>,
+    /// Each object id's allocation and canonical heap context (meaningful
+    /// for the ids in `used`).
+    objs: Vec<(AllocId, HCtxId)>,
+    /// The object ids some variable points to, ascending.
+    used: Vec<u32>,
     reachable: Vec<(MethodId, CtxId)>,
     call_graph: Vec<(InvokeId, CtxId, MethodId, CtxId)>,
 }
 
 impl CsIndex {
-    /// Canonicalizes the dump's contexts, then maps each variable node's
-    /// set, already sorted by interned object id, to one sorted by
-    /// `(allocation, canonical heap context)`.
-    ///
-    /// Variable nodes are unique per `(var, ctx)` and canonicalization is a
-    /// bijection on the used ids, so each node is exactly one key of `vpt`,
-    /// and distinct objects have distinct ranks: no set needs merging or
-    /// deduplication.
+    /// Canonicalizes the dump's contexts and keys each non-empty variable
+    /// node by its `(var, canonical ctx)`. Variable nodes are unique per
+    /// `(var, ctx)` and canonicalization is a bijection on the used ids,
+    /// so no two nodes share a key.
     fn build(dump: &CsDump, tables: &CtxTables) -> Self {
         // The objects some variable points to, as bitset words.
         let mut used_objs = vec![0u64; dump.objs.len().div_ceil(64)];
         let mut ctx_used = vec![false; tables.ctx_count()];
         let mut keys = 0;
-        for (_, ctx, pts) in dump.var_sets() {
+        for (_, _, ctx, pts) in dump.var_sets() {
             match pts {
                 ObjSet::Small(ids) => {
                     for &o in ids {
@@ -279,63 +322,23 @@ impl CsIndex {
         for (_, ctx) in dump.reachable() {
             ctx_used[ctx.0 as usize] = true;
         }
+        let used: Vec<u32> = bit_positions(&used_objs).collect();
         let mut hctx_used = vec![false; tables.hctx_count()];
-        for o in bit_positions(&used_objs) {
+        for &o in &used {
             hctx_used[dump.objs[o as usize].hctx().0 as usize] = true;
         }
         let canon = CtxCanon::build(&ctx_used, &hctx_used, tables);
 
-        // Rank the used objects by `(allocation, canonical heap context)`.
-        let mut ranked: Vec<(AllocId, HCtxId, u32)> = bit_positions(&used_objs)
-            .map(|o| {
-                let obj = dump.objs[o as usize];
-                (obj.heap(), canon.hctx(obj.hctx()), o)
-            })
+        let objs = dump
+            .objs
+            .iter()
+            .map(|o| (o.heap(), canon.hctx(o.hctx())))
             .collect();
-        ranked.sort_unstable();
-        let mut rank = vec![u32::MAX; dump.objs.len()];
-        for (r, &(_, _, o)) in ranked.iter().enumerate() {
-            rank[o as usize] = r as u32;
-        }
-        let by_rank: Vec<(AllocId, HCtxId)> = ranked.iter().map(|&(a, h, _)| (a, h)).collect();
-
-        // Small sets sort their ranks; dense ones scatter them into a
-        // bitset over ranks and read it back in order.
-        let mut vpt: FxHashMap<(VarId, CtxId), Vec<(AllocId, HCtxId)>> =
-            FxHashMap::with_capacity_and_hasher(keys, Default::default());
-        let mut ranks: Vec<u32> = Vec::new();
-        let mut scratch = vec![0u64; by_rank.len().div_ceil(64)];
-        for (var, ctx, pts) in dump.var_sets() {
-            if pts.is_empty() {
-                continue;
+        let mut nodes = FxHashMap::with_capacity_and_hasher(keys, Default::default());
+        for (node, var, ctx, pts) in dump.var_sets() {
+            if !pts.is_empty() {
+                nodes.insert((var, canon.ctx(ctx)), node);
             }
-            let set: Vec<(AllocId, HCtxId)> = match pts {
-                ObjSet::Small(ids) => {
-                    ranks.clear();
-                    ranks.extend(ids.iter().map(|&o| rank[o as usize]));
-                    ranks.sort_unstable();
-                    ranks.iter().map(|&r| by_rank[r as usize]).collect()
-                }
-                ObjSet::Dense { .. } => {
-                    let (mut lo, mut hi) = (usize::MAX, 0);
-                    for o in pts.iter() {
-                        let r = rank[o as usize] as usize;
-                        scratch[r / 64] |= 1 << (r % 64);
-                        lo = lo.min(r / 64);
-                        hi = hi.max(r / 64);
-                    }
-                    let mut set = Vec::with_capacity(pts.len());
-                    for (wi, word) in scratch.iter_mut().enumerate().take(hi + 1).skip(lo) {
-                        let mut bits = std::mem::take(word);
-                        while bits != 0 {
-                            set.push(by_rank[wi * 64 + bits.trailing_zeros() as usize]);
-                            bits &= bits - 1;
-                        }
-                    }
-                    set
-                }
-            };
-            vpt.insert((var, canon.ctx(ctx)), set);
         }
 
         // Both relations are sets, so their canonical images are too.
@@ -350,7 +353,9 @@ impl CsIndex {
 
         CsIndex {
             canon,
-            vpt,
+            nodes,
+            objs,
+            used,
             reachable,
             call_graph,
         }

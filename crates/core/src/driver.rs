@@ -90,7 +90,8 @@ impl fmt::Display for FlavorParseError {
             f,
             "unknown flavor {:?}: valid flavors are insens, cutshortcut, \
              summaries, <k>call[H], <k>obj[H], <k>type[H], and S<k>obj[H] \
-             (e.g. 2objH, 2typeH, 2callH, S2objH)",
+             (e.g. 2objH, 2typeH, 2callH, S2objH); a heap depth n of 2 or more \
+             is spelled +<n>H (e.g. 2obj+2H)",
             self.name
         )
     }
@@ -110,14 +111,27 @@ impl Flavor {
 
     /// Instantiates the policy for `program`.
     pub fn policy(self, program: &Program) -> Box<dyn ContextPolicy> {
+        struct Boxed;
+        impl WithPolicy for Boxed {
+            type Output = Box<dyn ContextPolicy>;
+            fn apply<P: ContextPolicy + 'static>(self, policy: P) -> Self::Output {
+                Box::new(policy)
+            }
+        }
+        self.with_policy(program, Boxed)
+    }
+
+    /// Instantiates the policy for `program` and hands it to `f` by value:
+    /// the one constructor table, statically dispatched.
+    fn with_policy<W: WithPolicy>(self, program: &Program, f: W) -> W::Output {
         match self {
-            Flavor::Insensitive => Box::new(Insensitive),
-            Flavor::CallSite { k, heap_k } => Box::new(CallSiteSensitive::new(k, heap_k)),
-            Flavor::Object { k, heap_k } => Box::new(ObjectSensitive::new(k, heap_k)),
-            Flavor::Type { k, heap_k } => Box::new(TypeSensitive::new(k, heap_k, program)),
-            Flavor::Hybrid { k, heap_k } => Box::new(HybridObjectSensitive::new(k, heap_k)),
-            Flavor::CutShortcut => Box::new(CutShortcut),
-            Flavor::Summaries => Box::new(Summaries),
+            Flavor::Insensitive => f.apply(Insensitive),
+            Flavor::CallSite { k, heap_k } => f.apply(CallSiteSensitive::new(k, heap_k)),
+            Flavor::Object { k, heap_k } => f.apply(ObjectSensitive::new(k, heap_k)),
+            Flavor::Type { k, heap_k } => f.apply(TypeSensitive::new(k, heap_k, program)),
+            Flavor::Hybrid { k, heap_k } => f.apply(HybridObjectSensitive::new(k, heap_k)),
+            Flavor::CutShortcut => f.apply(CutShortcut),
+            Flavor::Summaries => f.apply(Summaries),
         }
     }
 
@@ -157,11 +171,6 @@ impl Flavor {
         config
     }
 
-    /// Doop-style name (`insens`, `2objH`, …).
-    pub fn name(self, program: &Program) -> String {
-        self.policy(program).name()
-    }
-
     /// Parses a Doop-style flavor name: `insens`, `cutshortcut`, `2objH`,
     /// `1call`, `2typeH`, `S2objH`, … — the inverse of
     /// [`Flavor::spec_name`]. The error message enumerates the valid
@@ -199,10 +208,18 @@ impl Flavor {
         let (kind, rest) = ["call", "obj", "type"]
             .iter()
             .find_map(|p| rest.strip_prefix(p).map(|r| (*p, r)))?;
+        // Heap depth 2 and more is spelled `+<n>H`.
         let heap_k = match rest {
             "" => 0,
             "H" => 1,
-            _ => return None,
+            _ => {
+                let n = rest.strip_prefix('+')?.strip_suffix('H')?;
+                let heap_k: usize = n.parse().ok()?;
+                if heap_k < 2 || n != heap_k.to_string() {
+                    return None;
+                }
+                heap_k
+            }
         };
         match (hybrid, kind) {
             (true, "obj") => Some(Flavor::Hybrid { k, heap_k }),
@@ -213,14 +230,14 @@ impl Flavor {
         }
     }
 
-    /// The program-independent spec name (`2objH`, `insens`, …), accepted
-    /// back by [`Flavor::parse`].
+    /// The Doop-style name (`2objH`, `insens`, `2obj+2H`, …), accepted back
+    /// by [`Flavor::parse`]; every policy reports its flavor's name.
     pub fn spec_name(self) -> String {
-        fn h(heap_k: usize) -> &'static str {
-            if heap_k > 0 {
-                "H"
-            } else {
-                ""
+        fn h(heap_k: usize) -> String {
+            match heap_k {
+                0 => String::new(),
+                1 => "H".to_owned(),
+                n => format!("+{n}H"),
             }
         }
         match self {
@@ -233,6 +250,13 @@ impl Flavor {
             Flavor::Summaries => "summaries".to_owned(),
         }
     }
+}
+
+/// A computation generic in the policy type, handed a flavor's policy by
+/// [`Flavor::with_policy`].
+trait WithPolicy {
+    type Output;
+    fn apply<P: ContextPolicy + 'static>(self, policy: P) -> Self::Output;
 }
 
 /// Runs a single (non-introspective) analysis of `program` under `flavor`.
@@ -326,58 +350,46 @@ pub fn analyze_introspective_from(
     }
     let selection_time = select_start.elapsed();
 
+    /// Pass 2: the refined policy on the selected elements, insensitive
+    /// elsewhere.
+    struct Refined<'a> {
+        program: &'a Program,
+        hierarchy: &'a ClassHierarchy,
+        refinement: &'a RefinementSet,
+        label: &'a str,
+        config: &'a SolverConfig,
+    }
+    impl WithPolicy for Refined<'_> {
+        type Output = PointsToResult;
+        fn apply<P: ContextPolicy + 'static>(self, refined: P) -> PointsToResult {
+            let policy =
+                Introspective::new(Insensitive, refined, self.refinement.clone(), self.label);
+            analyze(self.program, self.hierarchy, &policy, self.config)
+        }
+    }
+
     let result = match flavor {
         Flavor::Insensitive => analyze(program, hierarchy, &Insensitive, config),
-        // Cut-shortcut precision is not per-element, so there is nothing
-        // for the refinement sets to select: like the insensitive arm, the
-        // selection is computed (for its stats) but does not steer the run.
-        Flavor::CutShortcut => {
-            let config = Flavor::CutShortcut.prepare_config(program, config);
-            analyze(program, hierarchy, &CutShortcut, &config)
+        // Cut-shortcut and summary precision are not per-element, so there
+        // is nothing for the refinement sets to select: like the
+        // insensitive arm, the selection is computed (for its stats) but
+        // does not steer the run.
+        Flavor::CutShortcut | Flavor::Summaries => {
+            analyze_flavor(program, hierarchy, flavor, config)
         }
-        // Summary precision is likewise not per-element: the distilled
-        // table applies at every call site, so the refinement sets are
-        // computed (for their stats) but do not steer the run.
-        Flavor::Summaries => {
-            let config = Flavor::Summaries.prepare_config(program, config);
-            analyze(program, hierarchy, &Summaries, &config)
-        }
-        Flavor::CallSite { k, heap_k } => {
-            let policy = Introspective::new(
-                Insensitive,
-                CallSiteSensitive::new(k, heap_k),
-                refinement.clone(),
-                heuristic.label(),
-            );
-            analyze(program, hierarchy, &policy, config)
-        }
-        Flavor::Object { k, heap_k } => {
-            let policy = Introspective::new(
-                Insensitive,
-                ObjectSensitive::new(k, heap_k),
-                refinement.clone(),
-                heuristic.label(),
-            );
-            analyze(program, hierarchy, &policy, config)
-        }
-        Flavor::Type { k, heap_k } => {
-            let policy = Introspective::new(
-                Insensitive,
-                TypeSensitive::new(k, heap_k, program),
-                refinement.clone(),
-                heuristic.label(),
-            );
-            analyze(program, hierarchy, &policy, config)
-        }
-        Flavor::Hybrid { k, heap_k } => {
-            let policy = Introspective::new(
-                Insensitive,
-                HybridObjectSensitive::new(k, heap_k),
-                refinement.clone(),
-                heuristic.label(),
-            );
-            analyze(program, hierarchy, &policy, config)
-        }
+        Flavor::CallSite { .. }
+        | Flavor::Object { .. }
+        | Flavor::Type { .. }
+        | Flavor::Hybrid { .. } => flavor.with_policy(
+            program,
+            Refined {
+                program,
+                hierarchy,
+                refinement: &refinement,
+                label: heuristic.label(),
+                config,
+            },
+        ),
     };
 
     IntrospectiveRun {
@@ -417,12 +429,43 @@ mod tests {
 
     #[test]
     fn flavor_names_match_doop_convention() {
+        assert_eq!(Flavor::Insensitive.spec_name(), "insens");
+        assert_eq!(Flavor::OBJ2H.spec_name(), "2objH");
+        assert_eq!(Flavor::TYPE2H.spec_name(), "2typeH");
+        assert_eq!(Flavor::CALL2H.spec_name(), "2callH");
+        assert_eq!(Flavor::HYBRID2H.spec_name(), "S2objH");
+        assert_eq!(Flavor::Object { k: 2, heap_k: 2 }.spec_name(), "2obj+2H");
+    }
+
+    /// Every context-sensitive kind at `k` 1–3 and heap depth 0–2, plus
+    /// the context-free flavors: names are distinct, parse back to their
+    /// flavor, and are what the flavor's policy reports.
+    #[test]
+    fn flavor_names_are_distinct_and_round_trip() {
         let p = sample_program();
-        assert_eq!(Flavor::Insensitive.name(&p), "insens");
-        assert_eq!(Flavor::OBJ2H.name(&p), "2objH");
-        assert_eq!(Flavor::TYPE2H.name(&p), "2typeH");
-        assert_eq!(Flavor::CALL2H.name(&p), "2callH");
-        assert_eq!(Flavor::HYBRID2H.name(&p), "S2objH");
+        let mut flavors = vec![Flavor::Insensitive, Flavor::CutShortcut, Flavor::Summaries];
+        for k in 1..=3 {
+            for heap_k in 0..=2 {
+                flavors.extend([
+                    Flavor::CallSite { k, heap_k },
+                    Flavor::Object { k, heap_k },
+                    Flavor::Type { k, heap_k },
+                    Flavor::Hybrid { k, heap_k },
+                ]);
+            }
+        }
+        let names: std::collections::BTreeSet<String> =
+            flavors.iter().map(|f| f.spec_name()).collect();
+        assert_eq!(names.len(), flavors.len(), "{names:?}");
+        for f in flavors {
+            assert_eq!(Flavor::parse(&f.spec_name()), Ok(f), "{f:?}");
+            assert_eq!(f.policy(&p).name(), f.spec_name(), "{f:?}");
+        }
+        for bad in [
+            "2obj+1H", "2obj+0H", "2obj+02H", "2obj+H", "2obj+2", "2objHH",
+        ] {
+            assert!(Flavor::parse(bad).is_err(), "{bad}");
+        }
     }
 
     #[test]
@@ -522,7 +565,8 @@ mod tests {
             err.to_string(),
             "unknown flavor \"3foo\": valid flavors are insens, cutshortcut, \
              summaries, <k>call[H], <k>obj[H], <k>type[H], and S<k>obj[H] \
-             (e.g. 2objH, 2typeH, 2callH, S2objH)"
+             (e.g. 2objH, 2typeH, 2callH, S2objH); a heap depth n of 2 or more \
+             is spelled +<n>H (e.g. 2obj+2H)"
         );
     }
 }

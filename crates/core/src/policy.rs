@@ -22,6 +22,7 @@ use rudoop_ir::{AllocId, ClassId, IdxVec, InvokeId, MethodId, Program};
 
 use crate::bitset::IdBitSet;
 use crate::context::{ContextElem, CtxId, CtxTables, HCtxId};
+use crate::driver::Flavor;
 
 /// A context-abstraction: how calling and heap contexts are constructed.
 ///
@@ -39,29 +40,37 @@ pub trait ContextPolicy: fmt::Debug + Send + Sync {
     fn name(&self) -> String;
 
     /// Heap context for an object allocated at `heap` by a method running
-    /// in `ctx`.
-    fn record(&self, tables: &mut CtxTables, heap: AllocId, ctx: CtxId) -> HCtxId;
+    /// in `ctx`. Context-free policies keep the default, `★`.
+    fn record(&self, _tables: &mut CtxTables, _heap: AllocId, _ctx: CtxId) -> HCtxId {
+        HCtxId::EMPTY
+    }
 
     /// Calling context for `target` invoked at `invoke` on receiver
-    /// `(heap, hctx)` from a caller running in `caller`.
+    /// `(heap, hctx)` from a caller running in `caller`. Context-free
+    /// policies keep the default, `★`.
     fn merge(
         &self,
-        tables: &mut CtxTables,
-        heap: AllocId,
-        hctx: HCtxId,
-        invoke: InvokeId,
-        target: MethodId,
-        caller: CtxId,
-    ) -> CtxId;
+        _tables: &mut CtxTables,
+        _heap: AllocId,
+        _hctx: HCtxId,
+        _invoke: InvokeId,
+        _target: MethodId,
+        _caller: CtxId,
+    ) -> CtxId {
+        CtxId::EMPTY
+    }
 
-    /// Calling context for a static call (no receiver).
+    /// Calling context for a static call (no receiver). Context-free
+    /// policies keep the default, `★`.
     fn merge_static(
         &self,
-        tables: &mut CtxTables,
-        invoke: InvokeId,
-        target: MethodId,
-        caller: CtxId,
-    ) -> CtxId;
+        _tables: &mut CtxTables,
+        _invoke: InvokeId,
+        _target: MethodId,
+        _caller: CtxId,
+    ) -> CtxId {
+        CtxId::EMPTY
+    }
 }
 
 /// Truncates `elems` to the first `k` entries.
@@ -80,33 +89,7 @@ pub struct Insensitive;
 
 impl ContextPolicy for Insensitive {
     fn name(&self) -> String {
-        "insens".to_owned()
-    }
-
-    fn record(&self, _tables: &mut CtxTables, _heap: AllocId, _ctx: CtxId) -> HCtxId {
-        HCtxId::EMPTY
-    }
-
-    fn merge(
-        &self,
-        _tables: &mut CtxTables,
-        _heap: AllocId,
-        _hctx: HCtxId,
-        _invoke: InvokeId,
-        _target: MethodId,
-        _caller: CtxId,
-    ) -> CtxId {
-        CtxId::EMPTY
-    }
-
-    fn merge_static(
-        &self,
-        _tables: &mut CtxTables,
-        _invoke: InvokeId,
-        _target: MethodId,
-        _caller: CtxId,
-    ) -> CtxId {
-        CtxId::EMPTY
+        Flavor::Insensitive.spec_name()
     }
 }
 
@@ -124,33 +107,7 @@ pub struct CutShortcut;
 
 impl ContextPolicy for CutShortcut {
     fn name(&self) -> String {
-        "cutshortcut".to_owned()
-    }
-
-    fn record(&self, _tables: &mut CtxTables, _heap: AllocId, _ctx: CtxId) -> HCtxId {
-        HCtxId::EMPTY
-    }
-
-    fn merge(
-        &self,
-        _tables: &mut CtxTables,
-        _heap: AllocId,
-        _hctx: HCtxId,
-        _invoke: InvokeId,
-        _target: MethodId,
-        _caller: CtxId,
-    ) -> CtxId {
-        CtxId::EMPTY
-    }
-
-    fn merge_static(
-        &self,
-        _tables: &mut CtxTables,
-        _invoke: InvokeId,
-        _target: MethodId,
-        _caller: CtxId,
-    ) -> CtxId {
-        CtxId::EMPTY
+        Flavor::CutShortcut.spec_name()
     }
 }
 
@@ -169,33 +126,7 @@ pub struct Summaries;
 
 impl ContextPolicy for Summaries {
     fn name(&self) -> String {
-        "summaries".to_owned()
-    }
-
-    fn record(&self, _tables: &mut CtxTables, _heap: AllocId, _ctx: CtxId) -> HCtxId {
-        HCtxId::EMPTY
-    }
-
-    fn merge(
-        &self,
-        _tables: &mut CtxTables,
-        _heap: AllocId,
-        _hctx: HCtxId,
-        _invoke: InvokeId,
-        _target: MethodId,
-        _caller: CtxId,
-    ) -> CtxId {
-        CtxId::EMPTY
-    }
-
-    fn merge_static(
-        &self,
-        _tables: &mut CtxTables,
-        _invoke: InvokeId,
-        _target: MethodId,
-        _caller: CtxId,
-    ) -> CtxId {
-        CtxId::EMPTY
+        Flavor::Summaries.spec_name()
     }
 }
 
@@ -220,19 +151,8 @@ impl CallSiteSensitive {
 
 impl ContextPolicy for CallSiteSensitive {
     fn name(&self) -> String {
-        if self.heap_k > 0 {
-            format!(
-                "{}call{}H",
-                self.k,
-                if self.heap_k == 1 {
-                    "".into()
-                } else {
-                    format!("+{}", self.heap_k)
-                }
-            )
-        } else {
-            format!("{}call", self.k)
-        }
+        let (k, heap_k) = (self.k, self.heap_k);
+        Flavor::CallSite { k, heap_k }.spec_name()
     }
 
     fn record(&self, tables: &mut CtxTables, _heap: AllocId, ctx: CtxId) -> HCtxId {
@@ -290,11 +210,8 @@ impl ObjectSensitive {
 
 impl ContextPolicy for ObjectSensitive {
     fn name(&self) -> String {
-        if self.heap_k > 0 {
-            format!("{}objH", self.k)
-        } else {
-            format!("{}obj", self.k)
-        }
+        let (k, heap_k) = (self.k, self.heap_k);
+        Flavor::Object { k, heap_k }.spec_name()
     }
 
     fn record(&self, tables: &mut CtxTables, _heap: AllocId, ctx: CtxId) -> HCtxId {
@@ -363,11 +280,8 @@ impl TypeSensitive {
 
 impl ContextPolicy for TypeSensitive {
     fn name(&self) -> String {
-        if self.heap_k > 0 {
-            format!("{}typeH", self.k)
-        } else {
-            format!("{}type", self.k)
-        }
+        let (k, heap_k) = (self.k, self.heap_k);
+        Flavor::Type { k, heap_k }.spec_name()
     }
 
     fn record(&self, tables: &mut CtxTables, _heap: AllocId, ctx: CtxId) -> HCtxId {
@@ -427,7 +341,8 @@ impl HybridObjectSensitive {
 
 impl ContextPolicy for HybridObjectSensitive {
     fn name(&self) -> String {
-        format!("S{}obj{}", self.k, if self.heap_k > 0 { "H" } else { "" })
+        let (k, heap_k) = (self.k, self.heap_k);
+        Flavor::Hybrid { k, heap_k }.spec_name()
     }
 
     fn record(&self, tables: &mut CtxTables, _heap: AllocId, ctx: CtxId) -> HCtxId {

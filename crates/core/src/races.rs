@@ -262,7 +262,7 @@ pub fn analyze_races_traced(
     let facts_span = crate::telemetry::span_opt(tele, "races-facts");
     let facts = CsFacts::build(pts, Client::RACES, tele)?;
     drop(facts_span);
-    let (vpt, reachable, call_graph) = (facts.vpt, facts.reachable, facts.call_graph);
+    let (reachable, call_graph) = (facts.reachable, facts.call_graph);
 
     // Body index of every invoke site, and the structural shape of every
     // method body.
@@ -439,18 +439,12 @@ pub fn analyze_races_traced(
     let locks_span = crate::telemetry::span_opt(tele, "races-locks");
 
     let resolve = |v: VarId, c: CtxId| -> LockRes {
-        match vpt.get(&(v, c)) {
+        let objs = facts.pts(v, c).into_iter().flat_map(|objs| objs.iter());
+        let mut allocs = objs.map(|o| facts.obj(o).0);
+        match allocs.next() {
             None => LockRes::Dead,
-            Some(objs) => {
-                let mut allocs: Vec<AllocId> = objs.iter().map(|&(a, _)| a).collect();
-                allocs.sort_unstable();
-                allocs.dedup();
-                match allocs.as_slice() {
-                    [] => LockRes::Dead,
-                    [one] => LockRes::One(*one),
-                    _ => LockRes::Many,
-                }
-            }
+            Some(first) if allocs.all(|a| a == first) => LockRes::One(first),
+            Some(_) => LockRes::Many,
         }
     };
     // Structural locks enclosing a body index, resolved in a context.
@@ -564,11 +558,9 @@ pub fn analyze_races_traced(
         is_lock[g.lock.0 as usize] = true;
     }
     let mut lock_hctxs: FxHashMap<AllocId, BTreeSet<HCtxId>> = FxHashMap::default();
-    for objs in vpt.values() {
-        for &(a, h) in objs {
-            if is_lock[a.0 as usize] {
-                lock_hctxs.entry(a).or_default().insert(h);
-            }
+    for (a, h) in facts.objects() {
+        if is_lock[a.0 as usize] {
+            lock_hctxs.entry(a).or_default().insert(h);
         }
     }
     let multi_instance = |h: AllocId| -> bool {
@@ -627,21 +619,12 @@ pub fn analyze_races_traced(
     let pairs_span = crate::telemetry::span_opt(tele, "races-pairs");
     let aliases = |a: &AccessInst, b: &AccessInst| -> bool {
         match (a.base, b.base) {
-            (Some(ba), Some(bb)) => {
-                let (Some(pa), Some(pb)) = (vpt.get(&(ba, a.ctx)), vpt.get(&(bb, b.ctx))) else {
-                    return false;
-                };
-                // Both sorted: merge-intersect on (alloc, hctx).
-                let (mut i, mut j) = (0, 0);
-                while i < pa.len() && j < pb.len() {
-                    match pa[i].cmp(&pb[j]) {
-                        std::cmp::Ordering::Equal => return true,
-                        std::cmp::Ordering::Less => i += 1,
-                        std::cmp::Ordering::Greater => j += 1,
-                    }
-                }
-                false
-            }
+            // One object id per `(alloc, hctx)`: sets alias iff they
+            // share an id.
+            (Some(ba), Some(bb)) => match (facts.pts(ba, a.ctx), facts.pts(bb, b.ctx)) {
+                (Some(pa), Some(pb)) => pa.intersects(pb),
+                _ => false,
+            },
             (None, None) => true, // same global slot (keys already match)
             _ => false,
         }
@@ -747,10 +730,10 @@ pub fn analyze_races_traced(
     let mut escapes: BTreeSet<Escape> = BTreeSet::new();
     for inst in &insts {
         let Some(base) = inst.base else { continue };
-        let Some(objs) = vpt.get(&(base, inst.ctx)) else {
+        let Some(objs) = facts.pts(base, inst.ctx) else {
             continue;
         };
-        for &(h, _) in objs {
+        for (h, _) in objs.iter().map(|o| facts.obj(o)) {
             let creators = method_threads.get(&program.allocs[h].method);
             for &t in &inst.threads {
                 if creators.is_none_or(|ts| !ts.contains(&t)) {

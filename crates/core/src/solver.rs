@@ -425,20 +425,22 @@ pub struct CsDump {
 }
 
 impl CsDump {
-    /// Each variable node's `(var, ctx)` and points-to set, in node order.
-    pub(crate) fn var_sets(&self) -> impl Iterator<Item = (VarId, CtxId, &ObjSet)> + '_ {
+    /// Each variable node's index, `(var, ctx)` and points-to set, in node
+    /// order.
+    pub(crate) fn var_sets(&self) -> impl Iterator<Item = (u32, VarId, CtxId, &ObjSet)> + '_ {
         self.kinds
             .iter()
             .zip(&self.pts)
-            .filter_map(|(kind, pts)| match *kind {
-                NodeKind::Var(var, ctx) => Some((var, ctx, pts)),
+            .enumerate()
+            .filter_map(|(node, (kind, pts))| match *kind {
+                NodeKind::Var(var, ctx) => Some((node as u32, var, ctx, pts)),
                 NodeKind::Field(..) | NodeKind::Global(_) => None,
             })
     }
 
     /// VARPOINTSTO tuples `(var, ctx, heap, hctx)`.
     pub fn var_points_to(&self) -> impl Iterator<Item = (VarId, CtxId, AllocId, HCtxId)> + '_ {
-        self.var_sets().flat_map(move |(var, ctx, pts)| {
+        self.var_sets().flat_map(move |(_, var, ctx, pts)| {
             pts.iter().map(move |o| {
                 let obj = self.objs[o as usize];
                 (var, ctx, obj.heap(), obj.hctx())

@@ -192,7 +192,6 @@ pub fn analyze_taint_traced(
     let facts_span = crate::telemetry::span_opt(tele, "taint-facts");
     let facts = CsFacts::build(pts, Client::TAINT, tele)?;
     drop(facts_span);
-    let (vpt, call_graph) = (facts.vpt, facts.call_graph);
 
     let graph_span = crate::telemetry::span_opt(tele, "taint-graph");
     let mut graph = GraphBuilder::default();
@@ -210,18 +209,16 @@ pub fn analyze_taint_traced(
                         graph.edge(Node::Var(var, ctx), Node::Var(ret, ctx));
                     }
                 }
+                // Field nodes are interned in set order, so these two read
+                // the sorted set.
                 Instruction::Load { to, base, field } => {
-                    if let Some(objs) = vpt.get(&(base, ctx)) {
-                        for &(heap, hctx) in objs {
-                            graph.edge(Node::Field(heap, hctx, field), Node::Var(to, ctx));
-                        }
+                    for (heap, hctx) in facts.points_to(base, ctx) {
+                        graph.edge(Node::Field(heap, hctx, field), Node::Var(to, ctx));
                     }
                 }
                 Instruction::Store { base, field, from } => {
-                    if let Some(objs) = vpt.get(&(base, ctx)) {
-                        for &(heap, hctx) in objs {
-                            graph.edge(Node::Var(from, ctx), Node::Field(heap, hctx, field));
-                        }
+                    for (heap, hctx) in facts.points_to(base, ctx) {
+                        graph.edge(Node::Var(from, ctx), Node::Field(heap, hctx, field));
                     }
                 }
                 Instruction::LoadGlobal { to, global } => {
@@ -248,7 +245,7 @@ pub fn analyze_taint_traced(
     let mut source_sites: FxHashSet<InvokeId> = FxHashSet::default();
     let mut sink_sites: FxHashSet<InvokeId> = FxHashSet::default();
 
-    for &(invo, caller_ctx, meth, callee_ctx) in call_graph {
+    for &(invo, caller_ctx, meth, callee_ctx) in facts.call_graph {
         let inv = &program.invokes[invo];
         let m = &program.methods[meth];
         for (&actual, &formal) in inv.args.iter().zip(m.params.iter()) {
@@ -363,7 +360,7 @@ pub fn analyze_taint_traced(
                         sink,
                         arg,
                         sink_method,
-                        source_method_of(program, call_graph, label, spec),
+                        source_method_of(program, facts.call_graph, label, spec),
                     ));
                 }
             }

@@ -1,7 +1,9 @@
-//! The clients' canonical fact index, built once from the solver's node
-//! sets, against a reference that rebuilds it from the dump's tuples the
-//! way the clients used to: rank every tuple's contexts by content, group
-//! the tuples by `(var, ctx)`, then sort and deduplicate each group.
+//! The clients' canonical fact index, which reads the solver's node sets
+//! in place, against a reference that rebuilds it from the dump's tuples
+//! the way the clients used to: rank every tuple's contexts by content,
+//! group the tuples by `(var, ctx)`, then sort and deduplicate each group.
+//! Every reference key's sorted `points_to` must equal its group, and the
+//! index must hold exactly as many keys.
 //!
 //! The reference lives here only. It runs on seeded arbitrary programs
 //! under `insens`, `2objH`, `2objH-IntroB` and `cutshortcut`, and on the
@@ -90,23 +92,28 @@ fn reference(dump: &CsDump, tables: &CtxTables) -> Reference {
 }
 
 /// Checks the index of `result` against the reference; returns the sizes
-/// of its points-to sets.
+/// of the reference's points-to sets.
 fn check(result: &PointsToResult, what: &str) -> Vec<usize> {
     let dump = result.cs_dump.as_ref().expect("contexts are recorded");
     let facts = dump.facts(&result.tables, &None);
     let want = reference(dump, &result.tables);
     assert_eq!(facts.reachable, want.reachable, "{what}: reachable");
     assert_eq!(facts.call_graph, want.call_graph, "{what}: call graph");
-    assert_eq!(facts.vpt.len(), want.vpt.len(), "{what}: vpt keys");
-    for (key, objs) in &want.vpt {
-        assert_eq!(facts.vpt.get(key), Some(objs), "{what}: vpt at {key:?}");
+    assert_eq!(facts.key_count(), want.vpt.len(), "{what}: vpt keys");
+    for (&(var, ctx), objs) in &want.vpt {
+        assert_eq!(
+            &facts.points_to(var, ctx),
+            objs,
+            "{what}: vpt at {:?}",
+            (var, ctx)
+        );
     }
     // A second call reuses the cached index.
     assert!(std::ptr::eq(
-        dump.facts(&result.tables, &None).vpt,
-        facts.vpt
+        dump.facts(&result.tables, &None).reachable,
+        facts.reachable
     ));
-    facts.vpt.values().map(Vec::len).collect()
+    want.vpt.values().map(Vec::len).collect()
 }
 
 fn config() -> SolverConfig {

@@ -83,7 +83,7 @@ impl Bench {
         let (p, h) = (&self.program, &self.hierarchy);
         let (analysis, result, selection) = match variant {
             Variant::Full(flavor) => (
-                flavor.name(p),
+                flavor.spec_name(),
                 analyze_flavor(p, h, flavor, &config()),
                 None,
             ),
@@ -101,7 +101,7 @@ impl Bench {
                     self.insens.clone(),
                 );
                 (
-                    format!("{}-{suffix}", flavor.name(p)),
+                    format!("{}-{suffix}", flavor.spec_name()),
                     run.result,
                     Some(run.selection_time),
                 )
@@ -226,7 +226,7 @@ fn family_section(out: &mut String, fig: &str, flavor: Flavor, hard_six: &[&Benc
     let _ = writeln!(
         out,
         "Budget-exhausted cells ({} family): {}.",
-        flavor.name(&hard_six[0].program),
+        flavor.spec_name(),
         if timeouts.is_empty() {
             "none".to_owned()
         } else {
@@ -393,7 +393,7 @@ fn main() {
              IntroB to 5 of 6 (not jython) and matches full 2callH precision where it runs.",
         ),
     ] {
-        let name = flavor.name(&nine[0].program);
+        let name = flavor.spec_name();
         eprintln!("{fig} ({name})...");
         let _ = writeln!(out, "## {fig} — the {name} family");
         let _ = writeln!(out);
