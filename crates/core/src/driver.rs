@@ -139,13 +139,19 @@ impl Flavor {
     /// [`Flavor::CutShortcut`] this runs the cut-shortcut pre-analysis
     /// (under its `cutshortcut-pass` telemetry span) and injects the
     /// summary into [`SolverConfig::cuts`]; for [`Flavor::Summaries`] it
-    /// runs the bottom-up summary pre-analysis (under `summaries-pass`)
-    /// and injects the table into [`SolverConfig::summaries`] — unless a
-    /// warm table is already present (the daemon's warm-summary cache), in
-    /// which case the warm table is used as is. Every other flavor clears
+    /// runs the bottom-up summary pre-analysis over `hierarchy` (under
+    /// `summaries-pass`) and injects the table into
+    /// [`SolverConfig::summaries`] — unless a warm table is already
+    /// present (the daemon's warm-summary cache), in which case the warm
+    /// table is used as is. Every other flavor clears
     /// both fields so pre-analyses never leak between rungs sharing a base
     /// config.
-    pub fn prepare_config(self, program: &Program, config: &SolverConfig) -> SolverConfig {
+    pub fn prepare_config(
+        self,
+        program: &Program,
+        hierarchy: &ClassHierarchy,
+        config: &SolverConfig,
+    ) -> SolverConfig {
         let mut config = config.clone();
         config.cuts = match self {
             Flavor::CutShortcut => Some(Arc::new(CutSummary::compute_traced(
@@ -157,14 +163,11 @@ impl Flavor {
         config.summaries = match self {
             Flavor::Summaries => match config.summaries.take() {
                 Some(warm) => Some(warm),
-                None => {
-                    let hierarchy = ClassHierarchy::new(program);
-                    Some(Arc::new(SummaryTable::compute_traced(
-                        program,
-                        &hierarchy,
-                        &config.telemetry,
-                    )))
-                }
+                None => Some(Arc::new(SummaryTable::compute_traced(
+                    program,
+                    hierarchy,
+                    &config.telemetry,
+                ))),
             },
             _ => None,
         };
@@ -267,7 +270,7 @@ pub fn analyze_flavor(
     config: &SolverConfig,
 ) -> PointsToResult {
     let policy = flavor.policy(program);
-    let config = flavor.prepare_config(program, config);
+    let config = flavor.prepare_config(program, hierarchy, config);
     analyze(program, hierarchy, policy.as_ref(), &config)
 }
 

@@ -671,8 +671,9 @@ impl<'p> Core<'p> {
 
     /// Projects the context-sensitive relations onto the client-facing
     /// [`PointsToResult`] (plus, when recording, the final node table as
-    /// its [`CsDump`]).
-    pub(crate) fn finish(self) -> PointsToResult {
+    /// its [`CsDump`]). What the result takes is moved out; the rest of
+    /// the working tables stay behind for the caller to drop.
+    pub(crate) fn finish(&mut self) -> PointsToResult {
         let duration = self.start.elapsed();
 
         // Every node's set, keyed by the projected relation it feeds.
@@ -694,12 +695,10 @@ impl<'p> Core<'p> {
                 NodeKind::Global(global) => global_sets.push((global, pts)),
             }
         }
-        let mut projection = Projection {
-            heap_of: self.objs.iter().map(|o| o.heap()).collect(),
-            seen: vec![0; self.program.allocs.len()],
-            stamp: 0,
-            acc: Vec::new(),
-        };
+        let mut projection = Projection::new(
+            self.objs.iter().map(|o| o.heap()).collect(),
+            self.program.allocs.len(),
+        );
         let mut var_pts: IdxVec<VarId, Vec<AllocId>> =
             (0..self.program.vars.len()).map(|_| Vec::new()).collect();
         projection.union_by_key(var_sets, |v, set| var_pts[v] = set);
@@ -744,11 +743,11 @@ impl<'p> Core<'p> {
         // The clients read the final node table itself: move it out
         // rather than drop it.
         let cs_dump = self.config.record_contexts.then(|| CsDump {
-            kinds: self.graph.kinds,
-            pts: self.graph.pts,
-            objs: self.objs,
-            cg_edges: self.cg_edges,
-            reachable: self.reachable,
+            kinds: std::mem::take(&mut self.graph.kinds),
+            pts: std::mem::take(&mut self.graph.pts),
+            objs: std::mem::take(&mut self.objs),
+            cg_edges: std::mem::take(&mut self.cg_edges),
+            reachable: std::mem::take(&mut self.reachable),
             index: OnceLock::new(),
         });
 
@@ -766,30 +765,45 @@ impl<'p> Core<'p> {
             global_pts,
             call_targets,
             reachable_methods,
-            tables: self.tables,
+            tables: std::mem::take(&mut self.tables),
             cs_dump,
         }
     }
 }
 
 /// The context-collapsing projection of points-to sets onto allocation
-/// sites. When a key has several dense sets (one per context), they are
-/// first ORed into `acc`, so an object the contexts share is looked up
-/// once. Each output set is deduplicated on insert: an allocation site is
-/// pushed only when `seen` does not yet carry the current key's stamp, so
-/// only distinct sites are pushed and sorted.
+/// sites. A key with one small set maps its at most 32 ids to sites, then
+/// sorts and deduplicates them. Any other key marks each object's site in
+/// the `sites` bitset and reads it out in increasing order, clearing only
+/// the touched words, so its output needs no dedup and no sort. When such
+/// a key has several dense sets (one per context), they are first ORed
+/// into `acc`, so an object the contexts share is looked up once.
 struct Projection {
     /// Allocation site of each interned object.
     heap_of: Vec<AllocId>,
-    /// Per allocation site, the stamp of the last key that took it.
-    seen: Vec<u32>,
-    stamp: u32,
     /// The union of the current key's dense sets, as object-id bitset
     /// words; all zero between keys.
     acc: Vec<u64>,
+    /// The current key's allocation sites, one bit each; all zero between
+    /// keys.
+    sites: Vec<u64>,
+    /// The words of `sites` the current key touched: `lo..hi`, empty when
+    /// `lo >= hi`.
+    lo: usize,
+    hi: usize,
 }
 
 impl Projection {
+    fn new(heap_of: Vec<AllocId>, allocs: usize) -> Projection {
+        Projection {
+            heap_of,
+            acc: Vec::new(),
+            sites: vec![0; allocs.div_ceil(64)],
+            lo: usize::MAX,
+            hi: 0,
+        }
+    }
+
     /// Unions the sets of each distinct key in `sets`, handing every key
     /// its sorted allocation sites once.
     fn union_by_key<K: Copy + Ord>(
@@ -799,8 +813,14 @@ impl Projection {
     ) {
         sets.sort_unstable_by_key(|&(key, _)| key);
         for run in sets.chunk_by(|a, b| a.0 == b.0) {
-            self.stamp += 1;
-            let mut out = Vec::new();
+            if let [(key, ObjSet::Small(ids))] = run {
+                // `2objH` can hold one site under two heap contexts.
+                let mut out: Vec<AllocId> = ids.iter().map(|&o| self.heap_of[o as usize]).collect();
+                out.sort_unstable();
+                out.dedup();
+                emit(*key, out);
+                continue;
+            }
             let mut top = 0;
             for (_, pts) in run {
                 match pts {
@@ -813,29 +833,228 @@ impl Projection {
                         }
                         top = top.max(words.len());
                     }
-                    _ => pts.iter().for_each(|o| self.take(o, &mut out)),
+                    _ => pts.iter().for_each(|o| self.mark(o)),
                 }
             }
             for wi in 0..top {
                 let mut bits = std::mem::take(&mut self.acc[wi]);
                 while bits != 0 {
-                    self.take((wi * 64) as u32 + bits.trailing_zeros(), &mut out);
+                    self.mark((wi * 64) as u32 + bits.trailing_zeros());
                     bits &= bits - 1;
                 }
             }
-            out.sort_unstable();
-            emit(run[0].0, out);
+            emit(run[0].0, self.drain());
         }
     }
 
-    /// Pushes the allocation site of object `o` unless the current key
-    /// already took it.
-    fn take(&mut self, o: u32, out: &mut Vec<AllocId>) {
-        let heap = self.heap_of[o as usize];
-        let seen = &mut self.seen[heap.0 as usize];
-        if *seen != self.stamp {
-            *seen = self.stamp;
-            out.push(heap);
+    /// Marks the allocation site of object `o`.
+    fn mark(&mut self, o: u32) {
+        let site = self.heap_of[o as usize].0 as usize;
+        let w = site / 64;
+        self.sites[w] |= 1 << (site % 64);
+        self.lo = self.lo.min(w);
+        self.hi = self.hi.max(w + 1);
+    }
+
+    /// The marked sites in increasing order, at their exact count; leaves
+    /// `sites` all zero.
+    fn drain(&mut self) -> Vec<AllocId> {
+        let touched = self.lo.min(self.hi)..self.hi;
+        let words = &mut self.sites[touched.clone()];
+        let count = words.iter().map(|w| w.count_ones() as usize).sum();
+        let mut out = Vec::with_capacity(count);
+        for (wi, word) in touched.zip(words) {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                out.push(AllocId((wi * 64) as u32 + bits.trailing_zeros()));
+                bits &= bits - 1;
+            }
         }
+        self.lo = usize::MAX;
+        self.hi = 0;
+        out
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! The projection against the tuples it collapses: every projected set
+    //! must equal the sorted, deduplicated heap column of the recorded
+    //! context-sensitive tuples of its key.
+
+    use std::collections::BTreeMap;
+
+    use rudoop_ir::arbitrary::{generate, ProgramShape};
+    use rudoop_workloads::dacapo;
+
+    use super::*;
+    use crate::driver::{analyze_flavor, Flavor};
+    use crate::solver::Budget;
+
+    /// Which set forms the projection met, by how many sets a key had.
+    #[derive(Default)]
+    struct Shapes {
+        one_small: bool,
+        one_dense: bool,
+        several_mixed: bool,
+        /// One small set holding two objects of one allocation site.
+        small_site_twice: bool,
+    }
+
+    impl Shapes {
+        fn note<K: Ord>(&mut self, groups: BTreeMap<K, Vec<&ObjSet>>, objs: &[CObj]) {
+            for sets in groups.values() {
+                match sets.as_slice() {
+                    [ObjSet::Small(ids)] => {
+                        self.one_small = true;
+                        let mut heaps: Vec<AllocId> =
+                            ids.iter().map(|&o| objs[o as usize].heap()).collect();
+                        heaps.sort_unstable();
+                        self.small_site_twice |= heaps.windows(2).any(|w| w[0] == w[1]);
+                    }
+                    [ObjSet::Dense { .. }] => self.one_dense = true,
+                    _ => {
+                        self.several_mixed |= sets.iter().any(|s| matches!(s, ObjSet::Small(_)))
+                            && sets.iter().any(|s| matches!(s, ObjSet::Dense { .. }));
+                    }
+                }
+            }
+        }
+    }
+
+    /// The heap column of `tuples` per key, sorted and deduplicated. A run
+    /// of tuples with one key (one node's set) is deduplicated on the fly.
+    fn heap_column<K: Ord + Copy>(
+        tuples: impl Iterator<Item = (K, AllocId)>,
+        allocs: usize,
+    ) -> BTreeMap<K, Vec<AllocId>> {
+        let mut sets: BTreeMap<K, Vec<AllocId>> = BTreeMap::new();
+        let mut seen = vec![0u32; allocs];
+        let mut runs = 0u32;
+        let mut last = None;
+        let mut run = Vec::new();
+        for (key, heap) in tuples {
+            if last != Some(key) {
+                if let Some(last) = last {
+                    sets.entry(last).or_default().append(&mut run);
+                }
+                last = Some(key);
+                runs += 1;
+            }
+            if std::mem::replace(&mut seen[heap.0 as usize], runs) != runs {
+                run.push(heap);
+            }
+        }
+        if let Some(last) = last {
+            sets.entry(last).or_default().append(&mut run);
+        }
+        for set in sets.values_mut() {
+            set.sort_unstable();
+            set.dedup();
+        }
+        sets
+    }
+
+    /// The projected relations of `result` without their empty sets.
+    fn non_empty<K: Ord + Copy>(
+        sets: impl Iterator<Item = (K, Vec<AllocId>)>,
+    ) -> BTreeMap<K, Vec<AllocId>> {
+        sets.filter(|(_, set)| !set.is_empty()).collect()
+    }
+
+    fn check(program: &Program, flavor: Flavor, what: &str, shapes: &mut Shapes) {
+        let hierarchy = ClassHierarchy::new(program);
+        let config = SolverConfig {
+            budget: Budget::derivations(30_000_000),
+            record_contexts: true,
+            ..SolverConfig::default()
+        };
+        let result = analyze_flavor(program, &hierarchy, flavor, &config);
+        let dump = result.cs_dump.as_ref().expect("contexts recorded");
+
+        let mut var_groups: BTreeMap<VarId, Vec<&ObjSet>> = BTreeMap::new();
+        let mut field_groups: BTreeMap<(AllocId, FieldId), Vec<&ObjSet>> = BTreeMap::new();
+        let mut global_groups: BTreeMap<GlobalId, Vec<&ObjSet>> = BTreeMap::new();
+        for (kind, pts) in dump.kinds.iter().zip(&dump.pts) {
+            match *kind {
+                NodeKind::Var(v, _) => var_groups.entry(v).or_default().push(pts),
+                NodeKind::Field(base, f) => {
+                    field_groups.entry((base.heap(), f)).or_default().push(pts)
+                }
+                NodeKind::Global(g) => global_groups.entry(g).or_default().push(pts),
+            }
+        }
+        let allocs = program.allocs.len();
+        let var = heap_column(dump.var_points_to().map(|(v, _, h, _)| (v, h)), allocs);
+        let field = heap_column(
+            dump.field_points_to()
+                .map(|(base, _, f, h, _)| ((base, f), h)),
+            allocs,
+        );
+        // The dump has no iterator for static fields: read their nodes.
+        let global = heap_column(
+            global_groups.iter().flat_map(|(&g, sets)| {
+                let heaps = sets.iter().flat_map(|pts| pts.iter());
+                heaps.map(move |o| (g, dump.objs[o as usize].heap()))
+            }),
+            allocs,
+        );
+
+        let var_pts = non_empty(result.var_pts.iter().map(|(v, set)| (v, set.clone())));
+        assert_eq!(var_pts, var, "{what}: var_pts");
+        let field_pts = non_empty(result.field_pts.iter().map(|(&k, set)| (k, set.clone())));
+        assert_eq!(field_pts, field, "{what}: field_pts");
+        let global_pts = non_empty(result.global_pts.iter().map(|(&k, set)| (k, set.clone())));
+        assert_eq!(global_pts, global, "{what}: global_pts");
+
+        shapes.note(var_groups, &dump.objs);
+        shapes.note(field_groups, &dump.objs);
+        shapes.note(global_groups, &dump.objs);
+    }
+
+    #[test]
+    fn projection_matches_the_tuples_on_arbitrary_programs() {
+        let flavors = [
+            "insens",
+            "cutshortcut",
+            "summaries",
+            "1call",
+            "2callH",
+            "1objH",
+            "2objH",
+            "2typeH",
+            "S2objH",
+        ];
+        for seed in 0..64 {
+            let program = generate(&ProgramShape::default(), seed);
+            for name in flavors {
+                let flavor = Flavor::parse(name).expect("known flavor");
+                check(
+                    &program,
+                    flavor,
+                    &format!("seed {seed} {name}"),
+                    &mut Shapes::default(),
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn projection_matches_the_tuples_on_the_dacapo_workloads() {
+        let mut shapes = Shapes::default();
+        for spec in dacapo::all_nine() {
+            let program = spec.build();
+            for flavor in [Flavor::Insensitive, Flavor::OBJ2H] {
+                let what = format!("{} {}", spec.name, flavor.spec_name());
+                check(&program, flavor, &what, &mut shapes);
+            }
+        }
+        assert!(shapes.one_small, "no key with one small set");
+        assert!(shapes.one_dense, "no key with one dense set");
+        assert!(shapes.several_mixed, "no key with small and dense sets");
+        assert!(
+            shapes.small_site_twice,
+            "no small set holding one site twice"
+        );
     }
 }

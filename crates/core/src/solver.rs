@@ -624,6 +624,12 @@ impl Solver<'_> {
             let _project = crate::telemetry::span_opt(&tele, "project");
             self.core.finish()
         };
+        // Freeing the working tables (adjacency lists, intern maps, and
+        // the sets unless recorded) is timed apart from the projection.
+        {
+            let _teardown = crate::telemetry::span_opt(&tele, "teardown");
+            drop(self);
+        }
         if let Some(span) = &span {
             span.arg("derivations", result.stats.derivations);
             span.arg("outcome", format!("{:?}", result.outcome));

@@ -471,7 +471,7 @@ fn distill_method(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rudoop_ir::ProgramBuilder;
+    use rudoop_ir::{naive_call_graph, ProgramBuilder, StaticCallGraph};
 
     /// id(x) { return x }, mk() { return new Box }, get() { return this.val },
     /// gload() { return G }, chain(x) { return id(x) }.
@@ -633,5 +633,20 @@ mod tests {
         assert!(a.contains("this.val"));
         assert!(a.contains("global G"));
         assert!(a.contains("stats: methods=6"));
+    }
+
+    /// The pre-pass's CHA call graph, built from per-signature target
+    /// rows, equals the reference that asks every class at every virtual
+    /// site.
+    #[test]
+    fn cha_call_graph_matches_the_per_class_reference_on_dacapo() {
+        for spec in rudoop_workloads::dacapo::all_nine() {
+            let p = spec.build();
+            let h = ClassHierarchy::new(&p);
+            let g = StaticCallGraph::build(&p, &h);
+            let naive = naive_call_graph(&p, &h);
+            assert_eq!(g.callees, naive.callees, "{}", spec.name);
+            assert_eq!(g.edge_count, naive.edge_count, "{}", spec.name);
+        }
     }
 }

@@ -63,7 +63,7 @@ pub use program::{
     AllocSite, CastSite, Class, Field, Global, Instruction, Invoke, InvokeKind, Method, Program,
     Signature, Var,
 };
-pub use scc::{naive_components, SccDag, StaticCallGraph};
+pub use scc::{naive_call_graph, naive_components, SccDag, StaticCallGraph};
 pub use span::Span;
 pub use taint::{TaintSpec, TaintSpecError};
 pub use text::{parse_program, print_program, ParseError};

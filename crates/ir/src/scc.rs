@@ -6,7 +6,10 @@
 //! over-approximation of every call graph any points-to analysis can
 //! discover. Virtual sites contribute an edge to every implementation of
 //! the called signature anywhere in the hierarchy; special and static
-//! sites contribute their one resolved target. Over-approximation is safe
+//! sites contribute their one resolved target. The implementations come
+//! from a per-signature table built with one dispatch lookup per declared
+//! method, so the graph costs in proportion to the methods and edges, not
+//! to virtual sites × classes. Over-approximation is safe
 //! here — an extra edge only merges schedule units, it never lets a callee
 //! be summarized after a caller that needs it.
 //!
@@ -17,7 +20,7 @@
 //! the reverse-topological (bottom-up) schedule.
 
 use crate::hierarchy::ClassHierarchy;
-use crate::ids::{IdxVec, MethodId};
+use crate::ids::{IdxVec, MethodId, SigId};
 use crate::program::{InvokeKind, Program};
 
 /// The conservative (CHA) static call graph: per method, its possible
@@ -34,22 +37,50 @@ impl StaticCallGraph {
     /// Builds the CHA call graph of `program`: virtual sites resolve to
     /// every implementation of their signature in the hierarchy, special
     /// and static sites to their single target.
+    ///
+    /// Any class's dispatch answer for a signature is also the answer in
+    /// the class that declares it, so the implementations of `sig` are
+    /// exactly the non-static methods `m` declared in a class `K` with
+    /// `hierarchy.lookup(K, sig) == Some(m)`. That table is built first,
+    /// with one lookup per declared method; each virtual site then copies
+    /// its signature's row. The result equals [`naive_call_graph`], which
+    /// asks every class at every virtual site.
     pub fn build(program: &Program, hierarchy: &ClassHierarchy) -> StaticCallGraph {
+        let mut targets: Vec<Vec<MethodId>> = vec![Vec::new(); program.sigs.len()];
+        for (cid, class) in program.classes.iter() {
+            for &m in &class.methods {
+                let sig = program.methods[m].sig;
+                if hierarchy.lookup(cid, sig) == Some(m) {
+                    targets[sig.0 as usize].push(m);
+                }
+            }
+        }
+        // A caller's repeated sites of one signature add the same row: copy
+        // it once per run of such sites (`last` holds the caller that took
+        // the row last).
+        let mut last = vec![u32::MAX; targets.len()];
+        StaticCallGraph::from_sites(program, |caller, sig, out| {
+            let i = sig.0 as usize;
+            if i < targets.len() && last[i] != caller.0 {
+                last[i] = caller.0;
+                out.extend_from_slice(&targets[i]);
+            }
+        })
+    }
+
+    /// Collects every invoke's targets into its caller's list, virtual
+    /// sites through `virtual_targets(caller, sig, list)`; then sorts and
+    /// deduplicates.
+    fn from_sites(
+        program: &Program,
+        mut virtual_targets: impl FnMut(MethodId, SigId, &mut Vec<MethodId>),
+    ) -> StaticCallGraph {
         let mut callees: IdxVec<MethodId, Vec<MethodId>> =
             (0..program.methods.len()).map(|_| Vec::new()).collect();
         for inv in program.invokes.values() {
             let out = &mut callees[inv.method];
             match inv.kind {
-                InvokeKind::Virtual { sig, .. } => {
-                    // Every class's dispatch answer for the signature, in
-                    // class-table order (the per-class maps are hash maps,
-                    // so never iterate them — query per class instead).
-                    for (cid, _) in program.classes.iter() {
-                        if let Some(target) = hierarchy.lookup(cid, sig) {
-                            out.push(target);
-                        }
-                    }
-                }
+                InvokeKind::Virtual { sig, .. } => virtual_targets(inv.method, sig, out),
                 InvokeKind::Special { target, .. } | InvokeKind::Static { target } => {
                     out.push(target);
                 }
@@ -66,6 +97,20 @@ impl StaticCallGraph {
             edge_count,
         }
     }
+}
+
+/// Naive reference CHA call graph: every virtual site asks every class for
+/// its dispatch answer, one hash lookup per class. Exists only so tests can
+/// check [`StaticCallGraph::build`] against the definition.
+pub fn naive_call_graph(program: &Program, hierarchy: &ClassHierarchy) -> StaticCallGraph {
+    StaticCallGraph::from_sites(program, |_, sig, out| {
+        out.extend(
+            program
+                .classes
+                .ids()
+                .filter_map(|cid| hierarchy.lookup(cid, sig)),
+        );
+    })
 }
 
 /// The condensation of the static call graph: methods grouped into
@@ -314,6 +359,45 @@ mod tests {
         let h = ClassHierarchy::new(&p);
         let g = StaticCallGraph::build(&p, &h);
         assert_eq!(g.callees[main], vec![fa, fb]);
+    }
+
+    /// Object ← A ← B, Object ← C, Object ← D, all with an `f/0`: `B.f`
+    /// overrides `A.f`, `C.f` is static, and `D` declares `f` twice;
+    /// `main` and `helper` call `f` at interleaved virtual sites.
+    #[test]
+    fn virtual_targets_are_the_dispatch_winners() {
+        let mut b = ProgramBuilder::new();
+        let obj = b.class("Object", None);
+        let a = b.class("A", Some(obj));
+        let bb = b.class("B", Some(a));
+        let c = b.class("C", Some(obj));
+        let d = b.class("D", Some(obj));
+        let fa = b.method(a, "f", &[], false);
+        let fb = b.method(bb, "f", &[], false);
+        b.method(c, "f", &[], true);
+        b.method(d, "f", &[], false);
+        let fd = b.method(d, "f", &[], false);
+        let main = b.method(obj, "main", &[], true);
+        let helper = b.method(obj, "helper", &[], true);
+        let x = b.var(main, "x");
+        let y = b.var(helper, "y");
+        b.alloc(main, x, a);
+        b.alloc(helper, y, a);
+        b.vcall(main, None, x, "f", &[]);
+        b.vcall(helper, None, y, "f", &[]);
+        b.vcall(main, None, x, "f", &[]);
+        b.scall(main, None, helper, &[]);
+        b.entry(main);
+        let p = b.finish();
+        let h = ClassHierarchy::new(&p);
+        let g = StaticCallGraph::build(&p, &h);
+        // The static method is no target; of D's two, only the one its
+        // dispatch table keeps is.
+        assert_eq!(g.callees[main], vec![fa, fb, fd, helper]);
+        assert_eq!(g.callees[helper], vec![fa, fb, fd]);
+        let naive = naive_call_graph(&p, &h);
+        assert_eq!(g.callees, naive.callees);
+        assert_eq!(g.edge_count, naive.edge_count);
     }
 
     #[test]

@@ -3,11 +3,13 @@
 //! Each property runs over generated programs (pure functions of their
 //! seed, so failures reproduce from the seed alone): the condensation is a
 //! DAG, component ids are a stable reverse-topological order, two builds
-//! are identical, and membership agrees with the naive quadratic reference
-//! implementation.
+//! are identical, membership agrees with the naive quadratic reference
+//! implementation, and the CHA call graph equals the per-class reference.
 
 use rudoop_ir::arbitrary::{generate, ProgramShape};
-use rudoop_ir::{naive_components, ClassHierarchy, MethodId, SccDag, StaticCallGraph};
+use rudoop_ir::{
+    naive_call_graph, naive_components, ClassHierarchy, MethodId, SccDag, StaticCallGraph,
+};
 
 const SEEDS: u64 = 48;
 
@@ -117,5 +119,17 @@ fn cyclic_flag_matches_reachability() {
             });
             assert_eq!(dag.cyclic[c], has_internal_edge, "seed {seed} comp {c}");
         }
+    }
+}
+
+#[test]
+fn call_graph_agrees_with_per_class_reference() {
+    for seed in 0..64 {
+        let p = generate(&ProgramShape::default(), seed);
+        let h = ClassHierarchy::new(&p);
+        let g = StaticCallGraph::build(&p, &h);
+        let naive = naive_call_graph(&p, &h);
+        assert_eq!(g.callees, naive.callees, "seed {seed}");
+        assert_eq!(g.edge_count, naive.edge_count, "seed {seed}");
     }
 }

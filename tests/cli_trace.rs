@@ -90,6 +90,52 @@ fn trace_file_validates_and_covers_the_solve_phases() {
     }
 }
 
+/// Every `solve` span holds one `project` span and then one `teardown`
+/// span: the introspective run below traces two solves, the first pass
+/// and the refined pass.
+#[test]
+fn every_solve_span_holds_one_project_and_one_teardown() {
+    let trace = scratch("teardown.trace.json");
+    let out = rudoop(&[
+        "@antlr",
+        "--analysis",
+        "2objH",
+        "--introspective",
+        "B",
+        "--trace",
+        trace.to_str().unwrap(),
+    ]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let text = std::fs::read_to_string(&trace).expect("trace file written");
+    let _ = std::fs::remove_file(&trace);
+    validate_chrome_trace(&text).expect("trace validates");
+    let events: Vec<String> = text
+        .lines()
+        .filter_map(|line| {
+            ["solve", "project", "teardown"].iter().find_map(|name| {
+                ["B", "E"]
+                    .iter()
+                    .find(|ph| {
+                        line.contains(&format!(
+                            "\"name\":\"{name}\",\"cat\":\"rudoop\",\"ph\":\"{ph}\""
+                        ))
+                    })
+                    .map(|ph| format!("{name}:{ph}"))
+            })
+        })
+        .collect();
+    let block = [
+        "solve:B",
+        "project:B",
+        "project:E",
+        "teardown:B",
+        "teardown:E",
+        "solve:E",
+    ];
+    assert_eq!(events.len(), 2 * block.len(), "{events:?}");
+    assert!(events.chunks(block.len()).all(|c| c == block), "{events:?}");
+}
+
 /// Every phase of the two context-sensitive clients shows in the trace as
 /// a span of its own.
 #[test]
