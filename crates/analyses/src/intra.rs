@@ -14,9 +14,7 @@
 //! | `L004` | `unreachable-code` | instructions follow a `return` |
 //! | `L005` | `self-move` | `x = x` |
 
-use std::collections::HashSet;
-
-use rudoop_ir::{Instruction, MethodId, Program, VarId};
+use rudoop_ir::{Idx, Instruction, MethodId};
 
 use crate::diagnostics::{Diagnostic, Severity};
 use crate::lint::{Lint, LintContext};
@@ -32,64 +30,11 @@ pub fn lints() -> Vec<Box<dyn Lint>> {
     ]
 }
 
-/// The variables an instruction reads, and the one it writes (if any).
-/// Call sites read their receiver and arguments and write their result.
-fn uses_def(program: &Program, instr: &Instruction) -> (Vec<VarId>, Option<VarId>) {
-    use rudoop_ir::InvokeKind;
-    match *instr {
-        Instruction::Alloc { var, .. } => (vec![], Some(var)),
-        Instruction::Move { to, from } | Instruction::Cast { to, from, .. } => {
-            (vec![from], Some(to))
-        }
-        Instruction::Load { to, base, .. } => (vec![base], Some(to)),
-        Instruction::Store { base, from, .. } => (vec![base, from], None),
-        Instruction::LoadGlobal { to, .. } => (vec![], Some(to)),
-        Instruction::StoreGlobal { from, .. } => (vec![from], None),
-        Instruction::Call { invoke } => {
-            let inv = &program.invokes[invoke];
-            let mut uses = Vec::with_capacity(inv.args.len() + 1);
-            match inv.kind {
-                InvokeKind::Virtual { base, .. } | InvokeKind::Special { base, .. } => {
-                    uses.push(base)
-                }
-                InvokeKind::Static { .. } => {}
-            }
-            uses.extend_from_slice(&inv.args);
-            (uses, inv.result)
-        }
-        Instruction::Spawn { invoke } => {
-            let inv = &program.invokes[invoke];
-            match inv.kind {
-                InvokeKind::Virtual { base, .. } | InvokeKind::Special { base, .. } => {
-                    (vec![base], None)
-                }
-                InvokeKind::Static { .. } => (vec![], None),
-            }
-        }
-        Instruction::Join { var }
-        | Instruction::MonitorEnter { var }
-        | Instruction::MonitorExit { var } => (vec![var], None),
-        Instruction::Return { var } => (vec![var], None),
-    }
-}
-
-/// Variables defined on method entry: `this`, the formals, and the formal
-/// return variable (written implicitly by `return` flow, so reading it is
-/// not a use-before-def).
-fn entry_defined(program: &Program, method: MethodId) -> HashSet<VarId> {
-    let m = &program.methods[method];
-    m.this
-        .iter()
-        .chain(m.params.iter())
-        .chain(m.ret.iter())
-        .copied()
-        .collect()
-}
-
 /// `L001`: a local variable is read before any instruction assigns it.
-/// Reported once per variable, at its first premature read. Foreign
-/// variables (used outside their declaring method) are `E002`'s territory
-/// and skipped here.
+/// `this`, the formals and the formal return variable (written implicitly
+/// by `return` flow) are assigned on entry. Reported once per variable, at
+/// its first premature read. Foreign variables (used outside their
+/// declaring method) are `E002`'s territory and skipped here.
 pub struct UseBeforeDef;
 
 impl Lint for UseBeforeDef {
@@ -104,13 +49,19 @@ impl Lint for UseBeforeDef {
     }
     fn check(&self, cx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
         let p = cx.program;
+        // A variable is settled once assigned or reported. Only variables
+        // of the method being walked are marked, so one table serves the
+        // whole program without a reset.
+        let mut settled = vec![false; p.vars.len()];
         for (mid, method) in p.methods.iter() {
-            let mut defined = entry_defined(p, mid);
-            let mut reported: HashSet<VarId> = HashSet::new();
+            let entry = method.this.iter().chain(&method.params).chain(&method.ret);
+            for &v in entry.filter(|&&v| p.vars[v].method == mid) {
+                settled[v.index()] = true;
+            }
             for (i, instr) in method.body.iter().enumerate() {
-                let (uses, def) = uses_def(p, instr);
-                for u in uses {
-                    if p.vars[u].method == mid && !defined.contains(&u) && reported.insert(u) {
+                for u in instr.uses(p) {
+                    if p.vars[u].method == mid && !std::mem::replace(&mut settled[u.index()], true)
+                    {
                         out.push(
                             Diagnostic::new(
                                 self.code(),
@@ -125,8 +76,8 @@ impl Lint for UseBeforeDef {
                         );
                     }
                 }
-                if let Some(d) = def {
-                    defined.insert(d);
+                if let Some(d) = instr.def(p).filter(|&d| p.vars[d].method == mid) {
+                    settled[d.index()] = true;
                 }
             }
         }
@@ -134,7 +85,8 @@ impl Lint for UseBeforeDef {
 }
 
 /// `L002`: an assignment whose value is overwritten by a later assignment
-/// with no intervening read — the first write is dead.
+/// with no intervening read — the first write is dead. Each body is walked
+/// once, backwards.
 pub struct DeadStore;
 
 impl Lint for DeadStore {
@@ -149,42 +101,47 @@ impl Lint for DeadStore {
     }
     fn check(&self, cx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
         let p = cx.program;
+        // `next_write[v]` is `(method, j)` when the next access to `v` after
+        // the current instruction of `method`'s body writes it at `j`; a read
+        // clears it. Entries left by another body never match its method.
+        let mut next_write: Vec<Option<(MethodId, usize)>> = vec![None; p.vars.len()];
         for (mid, method) in p.methods.iter() {
-            let effects: Vec<(Vec<VarId>, Option<VarId>)> =
-                method.body.iter().map(|i| uses_def(p, i)).collect();
-            for (i, (_, def)) in effects.iter().enumerate() {
-                let Some(v) = *def else { continue };
-                for (j, (uses, redef)) in effects.iter().enumerate().skip(i + 1) {
-                    if uses.contains(&v) {
-                        break; // value is read: the store is live
+            for (i, instr) in method.body.iter().enumerate().rev() {
+                if let Some(v) = instr.def(p) {
+                    if let Some((m, j)) = next_write[v.index()] {
+                        if m == mid {
+                            let at = method.span_of(j);
+                            let where_ = if at.is_known() {
+                                format!("at {at}")
+                            } else {
+                                format!("at #{j}")
+                            };
+                            out.push(
+                                Diagnostic::new(
+                                    self.code(),
+                                    Severity::Warning,
+                                    format!("value assigned to `{}` is never read", p.vars[v].name),
+                                )
+                                .at_instr(p, mid, i)
+                                .note(format!("overwritten {where_} before any read")),
+                            );
+                        }
                     }
-                    if *redef == Some(v) {
-                        let at = method.span_of(j);
-                        let where_ = if at.is_known() {
-                            format!("at {at}")
-                        } else {
-                            format!("at #{j}")
-                        };
-                        out.push(
-                            Diagnostic::new(
-                                self.code(),
-                                Severity::Warning,
-                                format!("value assigned to `{}` is never read", p.vars[v].name),
-                            )
-                            .at_instr(p, mid, i)
-                            .note(format!("overwritten {where_} before any read")),
-                        );
-                        break;
-                    }
+                    next_write[v.index()] = Some((mid, i));
+                }
+                // An instruction reads its operands before it writes.
+                for u in instr.uses(p) {
+                    next_write[u.index()] = None;
                 }
             }
         }
     }
 }
 
-/// `L003`: a local variable that no instruction of its method ever reads.
-/// `this`, formals and the formal return variable are exempt (they are part
-/// of the method's interface).
+/// `L003`: a local variable that no instruction ever reads. `this`, formals
+/// and the formal return variable are exempt (they are part of the
+/// method's interface). One mark over all bodies, then one pass over the
+/// variable table.
 pub struct UnusedVariable;
 
 impl Lint for UnusedVariable {
@@ -199,25 +156,24 @@ impl Lint for UnusedVariable {
     }
     fn check(&self, cx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
         let p = cx.program;
-        let mut used: HashSet<VarId> = HashSet::new();
-        for method in p.methods.values() {
-            for instr in &method.body {
-                used.extend(uses_def(p, instr).0);
+        let mut used = vec![false; p.vars.len()];
+        for instr in p.methods.values().flat_map(|m| &m.body) {
+            for u in instr.uses(p) {
+                used[u.index()] = true;
             }
         }
-        for (mid, _) in p.methods.iter() {
-            let exempt = entry_defined(p, mid);
-            for (vid, var) in p.vars.iter() {
-                if var.method == mid && !exempt.contains(&vid) && !used.contains(&vid) {
-                    out.push(
-                        Diagnostic::new(
-                            self.code(),
-                            Severity::Warning,
-                            format!("variable `{}` is never read", var.name),
-                        )
-                        .in_method(p, mid),
-                    );
-                }
+        for (vid, var) in p.vars.iter() {
+            let m = &p.methods[var.method];
+            let interface = m.this == Some(vid) || m.ret == Some(vid) || m.params.contains(&vid);
+            if !used[vid.index()] && !interface {
+                out.push(
+                    Diagnostic::new(
+                        self.code(),
+                        Severity::Warning,
+                        format!("variable `{}` is never read", var.name),
+                    )
+                    .in_method(p, var.method),
+                );
             }
         }
     }
@@ -301,7 +257,7 @@ impl Lint for SelfMove {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rudoop_ir::{ClassHierarchy, ProgramBuilder};
+    use rudoop_ir::{ClassHierarchy, Program, ProgramBuilder};
 
     fn run_on(p: &Program) -> Vec<Diagnostic> {
         let h = ClassHierarchy::new(p);

@@ -7,7 +7,7 @@
 //! - **casts that may fail** — reachable cast instructions whose incoming
 //!   points-to set contains an object of a non-conforming type.
 
-use rudoop_ir::{ClassHierarchy, InvokeKind, Program, VarId};
+use rudoop_ir::{ClassHierarchy, InvokeKind, Program};
 
 use crate::solver::PointsToResult;
 
@@ -65,48 +65,6 @@ pub fn casts_may_fail(
                     .any(|&h| !hierarchy.is_subtype(program.allocs[h].class, *class))
         })
         .count()
-}
-
-/// Whether `a` and `b` may refer to the same object — the classic alias
-/// query, answered by points-to set intersection. The sets are sorted, so
-/// this is a linear merge.
-pub fn may_alias(result: &PointsToResult, a: VarId, b: VarId) -> bool {
-    let (pa, pb) = (result.points_to(a), result.points_to(b));
-    let (mut i, mut j) = (0, 0);
-    while i < pa.len() && j < pb.len() {
-        match pa[i].cmp(&pb[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => return true,
-        }
-    }
-    false
-}
-
-/// Summary of the computed call graph, for reports.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CallGraphSummary {
-    /// Call sites with at least one resolved target.
-    pub resolved_sites: usize,
-    /// Projected call-graph edges (site → target pairs).
-    pub edges: usize,
-    /// The largest target set of any single site.
-    pub max_targets: usize,
-}
-
-/// Computes a [`CallGraphSummary`] from an analysis result.
-pub fn call_graph_summary(result: &PointsToResult) -> CallGraphSummary {
-    let mut edges = 0usize;
-    let mut max_targets = 0usize;
-    for targets in result.call_targets.values() {
-        edges += targets.len();
-        max_targets = max_targets.max(targets.len());
-    }
-    CallGraphSummary {
-        resolved_sites: result.call_targets.len(),
-        edges,
-        max_targets,
-    }
 }
 
 #[cfg(test)]
@@ -193,44 +151,6 @@ mod tests {
         let h = ClassHierarchy::new(&p);
         let r = analyze(&p, &h, &Insensitive, &SolverConfig::default());
         assert_eq!(casts_may_fail(&p, &h, &r), 0);
-    }
-
-    #[test]
-    fn may_alias_is_set_intersection() {
-        let mut b = ProgramBuilder::new();
-        let obj = b.class("Object", None);
-        let main = b.method(obj, "main", &[], true);
-        let x = b.var(main, "x");
-        let y = b.var(main, "y");
-        let z = b.var(main, "z");
-        b.alloc(main, x, obj);
-        b.mov(main, y, x);
-        b.alloc(main, z, obj);
-        b.entry(main);
-        let p = b.finish();
-        let h = ClassHierarchy::new(&p);
-        let r = analyze(&p, &h, &Insensitive, &SolverConfig::default());
-        assert!(may_alias(&r, x, y));
-        assert!(!may_alias(&r, x, z));
-        assert!(may_alias(&r, x, x));
-    }
-
-    #[test]
-    fn call_graph_summary_counts_edges() {
-        let p = litmus();
-        let h = ClassHierarchy::new(&p);
-        let insens = analyze(&p, &h, &Insensitive, &SolverConfig::default());
-        let cs = analyze(
-            &p,
-            &h,
-            &CallSiteSensitive::new(1, 0),
-            &SolverConfig::default(),
-        );
-        let si = call_graph_summary(&insens);
-        let sc = call_graph_summary(&cs);
-        assert!(si.edges > sc.edges, "context removes spurious edges");
-        assert_eq!(si.max_targets, 2);
-        assert_eq!(sc.max_targets, 1);
     }
 
     #[test]

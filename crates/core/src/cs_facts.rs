@@ -25,7 +25,7 @@
 
 use std::fmt;
 
-use rudoop_ir::{AllocId, Instruction, InvokeId, MethodId, Program, VarId};
+use rudoop_ir::{AllocId, InvokeId, MethodId, Program, VarId};
 
 use crate::bitset::{bit_positions, ObjSet};
 use crate::context::{CtxId, CtxTables, HCtxId};
@@ -473,24 +473,6 @@ pub(crate) fn renumber_contexts(result: &PointsToResult) -> PointsToResult {
     dump.reachable = dump.reachable.iter().map(|&k| key(k)).collect();
     dump.index = std::sync::OnceLock::new();
     twin
-}
-
-/// Where call site `invo` sits: its method and the body index of its
-/// `call`/`spawn` instruction (one past the body when there is none, an
-/// index whose span is unknown).
-pub(crate) fn invoke_site(program: &Program, invo: InvokeId) -> (MethodId, usize) {
-    let method = program.invokes[invo].method;
-    let body = &program.methods[method].body;
-    let index = body
-        .iter()
-        .position(|instr| {
-            matches!(
-                *instr,
-                Instruction::Call { invoke } | Instruction::Spawn { invoke } if invoke == invo
-            )
-        })
-        .unwrap_or(body.len());
-    (method, index)
 }
 
 /// Appends the top-level report key `key` holding `items`, one per line:

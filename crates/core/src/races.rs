@@ -297,7 +297,7 @@ pub fn analyze_races_traced(
                 }
                 _ => {}
             }
-            if let Some(d) = defined_var(program, instr) {
+            if let Some(d) = instr.def(program) {
                 *shape.defs.entry(d).or_insert(0) += 1;
             }
         }
@@ -917,26 +917,6 @@ pub fn analyze_races_traced(
         t.counter("races.escapes", result.escapes.len() as u64);
     }
     Ok(result)
-}
-
-/// The variables a single instruction defines (at most one).
-fn defined_var(program: &Program, instr: &Instruction) -> Option<VarId> {
-    match *instr {
-        Instruction::Alloc { var, .. } => Some(var),
-        Instruction::Move { to, .. }
-        | Instruction::Cast { to, .. }
-        | Instruction::Load { to, .. }
-        | Instruction::LoadGlobal { to, .. } => Some(to),
-        Instruction::Call { invoke } | Instruction::Spawn { invoke } => {
-            program.invokes[invoke].result
-        }
-        Instruction::Store { .. }
-        | Instruction::StoreGlobal { .. }
-        | Instruction::Return { .. }
-        | Instruction::Join { .. }
-        | Instruction::MonitorEnter { .. }
-        | Instruction::MonitorExit { .. } => None,
-    }
 }
 
 /// Renders a supervised race outcome as a JSON document for `rudoop races

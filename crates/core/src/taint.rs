@@ -33,7 +33,7 @@ use rudoop_ir::{
 
 use crate::context::{CtxId, HCtxId};
 use crate::cs_facts::{
-    invoke_site, push_json_array, span_json, supervised, Client, ClientError, CsFacts, Supervised,
+    push_json_array, span_json, supervised, Client, ClientError, CsFacts, Supervised,
 };
 use crate::hash::{FxHashMap, FxHashSet};
 use crate::json::escape;
@@ -511,9 +511,9 @@ fn build_leak(
 /// witnesses the T-series lints consume, so scripts can tell a sanitizer
 /// that actually intercepted taint from dead sanitization.
 pub fn render_json(program: &Program, taint: &SupervisedTaint) -> String {
-    let invoke_span = |invo| {
-        let (method, index) = invoke_site(program, invo);
-        span_json(program, method, index)
+    let invoke_span = |invo| match program.invoke_site(invo) {
+        Some((method, index)) => span_json(program, method, index),
+        None => "null".to_owned(),
     };
     let mut out = String::from("{\n");
     match taint {

@@ -116,29 +116,28 @@ impl FlowGraph {
         };
         for (_, method) in program.methods.iter() {
             for instr in &method.body {
+                if let Some(d) = instr.def(program) {
+                    defs[d] += 1;
+                }
                 match *instr {
-                    Instruction::Alloc { var, .. } => defs[var] += 1,
+                    Instruction::Alloc { .. } | Instruction::LoadGlobal { .. } => {}
                     Instruction::Move { to, from } => {
                         copy(&mut copy_out, from, to, CopyKind::Move);
                         copy_edge_count += 1;
-                        defs[to] += 1;
                     }
                     Instruction::Cast { to, from, .. } => {
                         copy(&mut copy_out, from, to, CopyKind::Cast);
                         copy_edge_count += 1;
-                        defs[to] += 1;
                     }
                     Instruction::Load { to, base, field } => {
                         uses[base].push(VarUse::LoadBase { field, to });
                         use_count += 1;
-                        defs[to] += 1;
                     }
                     Instruction::Store { base, field, from } => {
                         uses[base].push(VarUse::StoreBase { field });
                         uses[from].push(VarUse::StoreValue { base, field });
                         use_count += 2;
                     }
-                    Instruction::LoadGlobal { to, .. } => defs[to] += 1,
                     Instruction::StoreGlobal { global, from } => {
                         uses[from].push(VarUse::GlobalStore { global });
                         use_count += 1;
@@ -148,9 +147,6 @@ impl FlowGraph {
                         for (index, &arg) in inv.args.iter().enumerate() {
                             uses[arg].push(VarUse::CallArg { invoke, index });
                             use_count += 1;
-                        }
-                        if let Some(result) = inv.result {
-                            defs[result] += 1;
                         }
                         match inv.kind {
                             InvokeKind::Virtual { base, .. } | InvokeKind::Special { base, .. } => {

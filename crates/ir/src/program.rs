@@ -255,6 +255,60 @@ pub enum Instruction {
     },
 }
 
+impl Instruction {
+    /// The variable this instruction writes, if any: the destination of an
+    /// alloc, move, cast, load or global load, or the `result` of a call's
+    /// (or spawn's) invoke site. The one def/use view of the IL that every
+    /// syntactic client reads.
+    pub fn def(&self, program: &Program) -> Option<VarId> {
+        match *self {
+            Instruction::Alloc { var, .. } => Some(var),
+            Instruction::Move { to, .. }
+            | Instruction::Cast { to, .. }
+            | Instruction::Load { to, .. }
+            | Instruction::LoadGlobal { to, .. } => Some(to),
+            Instruction::Call { invoke } | Instruction::Spawn { invoke } => {
+                program.invokes[invoke].result
+            }
+            Instruction::Store { .. }
+            | Instruction::StoreGlobal { .. }
+            | Instruction::Join { .. }
+            | Instruction::MonitorEnter { .. }
+            | Instruction::MonitorExit { .. }
+            | Instruction::Return { .. } => None,
+        }
+    }
+
+    /// The variables this instruction reads, in operand order and without
+    /// allocating: a store reads its base then its value; a call or spawn
+    /// reads its receiver (none for a static call) then its arguments.
+    pub fn uses<'p>(&self, program: &'p Program) -> impl Iterator<Item = VarId> + 'p {
+        let (operands, args): ([Option<VarId>; 2], &'p [VarId]) = match *self {
+            Instruction::Alloc { .. } | Instruction::LoadGlobal { .. } => ([None, None], &[]),
+            Instruction::Move { from, .. }
+            | Instruction::Cast { from, .. }
+            | Instruction::Load { base: from, .. }
+            | Instruction::StoreGlobal { from, .. }
+            | Instruction::Join { var: from }
+            | Instruction::MonitorEnter { var: from }
+            | Instruction::MonitorExit { var: from }
+            | Instruction::Return { var: from } => ([Some(from), None], &[]),
+            Instruction::Store { base, from, .. } => ([Some(base), Some(from)], &[]),
+            Instruction::Call { invoke } | Instruction::Spawn { invoke } => {
+                let inv = &program.invokes[invoke];
+                let receiver = match inv.kind {
+                    InvokeKind::Virtual { base, .. } | InvokeKind::Special { base, .. } => {
+                        Some(base)
+                    }
+                    InvokeKind::Static { .. } => None,
+                };
+                ([receiver, None], &inv.args)
+            }
+        };
+        operands.into_iter().flatten().chain(args.iter().copied())
+    }
+}
+
 /// A stable identifier for a cast instruction: its method plus the position
 /// of the `Cast` within the method body. Used by the cast-may-fail client.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -412,6 +466,60 @@ mod tests {
         assert_eq!(site.index, 1);
         assert_eq!(from, x);
         assert_eq!(class, a);
+    }
+
+    #[test]
+    fn def_and_uses_cover_every_instruction() {
+        let mut b = ProgramBuilder::new();
+        let obj = b.class("Object", None);
+        let f = b.field(obj, "f");
+        let g = b.global(obj, "g");
+        let callee = b.method(obj, "callee", &["a", "b"], false);
+        let m = b.method(obj, "main", &[], false);
+        let [x, y, z, r] = ["x", "y", "z", "r"].map(|n| b.var(m, n));
+        b.alloc(m, x, obj);
+        b.mov(m, y, x);
+        b.cast(m, z, y, obj);
+        b.load(m, y, x, f);
+        b.store(m, x, f, z);
+        b.load_global(m, z, g);
+        b.store_global(m, g, y);
+        b.vcall(m, Some(r), x, "callee", &[y, z]);
+        b.specialcall(m, None, y, callee, &[z, x]);
+        b.scall(m, Some(r), callee, &[z, y]);
+        b.spawn(m, z);
+        b.join(m, z);
+        b.monitor_enter(m, x);
+        b.monitor_exit(m, x);
+        b.ret(m, r);
+        let p = b.finish();
+        let expected: [(Option<VarId>, &[VarId]); 15] = [
+            (Some(x), &[]),
+            (Some(y), &[x]),
+            (Some(z), &[y]),
+            (Some(y), &[x]),
+            (None, &[x, z]),
+            (Some(z), &[]),
+            (None, &[y]),
+            (Some(r), &[x, y, z]),
+            (None, &[y, z, x]),
+            (Some(r), &[z, y]),
+            (None, &[z]),
+            (None, &[z]),
+            (None, &[x]),
+            (None, &[x]),
+            (None, &[r]),
+        ];
+        let body = &p.methods[m].body;
+        assert_eq!(body.len(), expected.len());
+        for (i, (instr, (def, uses))) in body.iter().zip(expected).enumerate() {
+            assert_eq!(instr.def(&p), def, "def of #{i} {instr:?}");
+            assert_eq!(
+                instr.uses(&p).collect::<Vec<_>>(),
+                uses,
+                "uses of #{i} {instr:?}"
+            );
+        }
     }
 
     #[test]

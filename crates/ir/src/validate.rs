@@ -8,7 +8,7 @@
 
 use std::fmt;
 
-use crate::ids::{ClassId, Idx, MethodId, VarId};
+use crate::ids::{ClassId, MethodId, VarId};
 use crate::program::{Instruction, InvokeKind, Program};
 
 /// A well-formedness violation found by [`validate`].
@@ -306,7 +306,9 @@ fn check_bodies(program: &Program, errors: &mut Vec<ValidateError>) {
         let mut monitor_reported = false;
         for instr in &method.body {
             match *instr {
-                Instruction::Alloc { var, .. } => check_var(mid, var, errors),
+                Instruction::Alloc { var, .. }
+                | Instruction::LoadGlobal { to: var, .. }
+                | Instruction::StoreGlobal { from: var, .. } => check_var(mid, var, errors),
                 Instruction::Move { to, from } | Instruction::Cast { to, from, .. } => {
                     check_var(mid, to, errors);
                     check_var(mid, from, errors);
@@ -318,24 +320,6 @@ fn check_bodies(program: &Program, errors: &mut Vec<ValidateError>) {
                 Instruction::Store { base, from, .. } => {
                     check_var(mid, base, errors);
                     check_var(mid, from, errors);
-                }
-                Instruction::LoadGlobal { to, global } => {
-                    check_var(mid, to, errors);
-                    if global.index() >= program.globals.len() {
-                        errors.push(ValidateError::DanglingId {
-                            table: "body.globals",
-                            raw: global.0,
-                        });
-                    }
-                }
-                Instruction::StoreGlobal { global, from } => {
-                    check_var(mid, from, errors);
-                    if global.index() >= program.globals.len() {
-                        errors.push(ValidateError::DanglingId {
-                            table: "body.globals",
-                            raw: global.0,
-                        });
-                    }
                 }
                 Instruction::Call { invoke } => {
                     let inv = &program.invokes[invoke];
@@ -466,6 +450,7 @@ fn check_entries(program: &Program, errors: &mut Vec<ValidateError>) {
 mod tests {
     use super::*;
     use crate::builder::ProgramBuilder;
+    use crate::ids::IdxVec;
 
     #[test]
     fn well_formed_program_validates() {
@@ -504,6 +489,26 @@ mod tests {
         assert!(errs
             .iter()
             .any(|e| matches!(e, ValidateError::ForeignVariable { .. })));
+    }
+
+    #[test]
+    fn dangling_global_is_reported_once() {
+        let mut b = ProgramBuilder::new();
+        let obj = b.class("Object", None);
+        let g = b.global(obj, "g");
+        let main = b.method(obj, "main", &[], true);
+        let x = b.var(main, "x");
+        b.load_global(main, x, g);
+        b.entry(main);
+        let mut p = b.finish();
+        p.globals = IdxVec::new();
+        assert_eq!(
+            validate(&p),
+            Err(vec![ValidateError::DanglingId {
+                table: "body.globals",
+                raw: g.0,
+            }])
+        );
     }
 
     #[test]

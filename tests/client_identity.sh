@@ -5,11 +5,15 @@
 # (`rudoop races`), both with `--format json` at the standard 30M-derivation
 # budget. Two more rows run jython `2objH` with no budget, where the fact
 # index meets its largest points-to sets; their flavor column reads
-# `2objH/unbudgeted`. The fourth column is the sha256 of the JSON report on
-# stdout plus the exit code (the ladder table on stderr carries timings and
-# is left out). The fifth is the sha256 of the `"counters"` section of the
-# `--profile` written by the same run, which holds the `taint.*` and
-# `races.*` counters. A change that keeps client results and counters
+# `2objH/unbudgeted`. Eighteen lint rows follow: `rudoop-lint` (found beside
+# the `rudoop` binary) on the nine programs under `insens` and `2objH` with
+# `--taint-spec builtin --races --format json`, unbudgeted since
+# `rudoop-lint` has no budget; their client column reads `lint`. The fourth
+# column is the sha256 of the JSON report on stdout plus the exit code (the
+# ladder table on stderr carries timings and is left out). The fifth is the
+# sha256 of the `"counters"` section of the `--profile` written by the same
+# run, which holds the `taint.*`, `races.*` and `lint.<code>.findings`
+# counters. A change that keeps client results and counters
 # byte-identical leaves the table equal to `tests/fixtures/client_sha256.tsv`:
 #
 #   cargo build --release
@@ -18,6 +22,7 @@
 # The first argument overrides the binary (default target/release/rudoop).
 set -euo pipefail
 bin=${1:-target/release/rudoop}
+lint=$(dirname "$bin")/rudoop-lint
 profile=$(mktemp)
 trap 'rm -f "$profile"' EXIT
 
@@ -25,10 +30,13 @@ trap 'rm -f "$profile"' EXIT
 row() {
   local p=$1 f=$2 c=$3 label=$4
   shift 4
-  local args=("$@")
-  if [ "$c" = taint ]; then args+=(--spec builtin); fi
+  local cmd=("$bin" "$c" "@$p" "$@")
+  case $c in
+    taint) cmd+=(--spec builtin) ;;
+    lint) cmd=("$lint" "@$p" --taint-spec builtin --races) ;;
+  esac
   local out rc sum counters
-  out=$("$bin" "$c" "@$p" "${args[@]}" --analysis "$f" \
+  out=$("${cmd[@]}" --analysis "$f" \
     --format json --profile "$profile" 2>/dev/null) && rc=0 || rc=$?
   sum=$(printf '%s\nexit %d\n' "$out" "$rc" | sha256sum | cut -d' ' -f1)
   counters=$(sed -n '/"counters": \[/,/^  \]/p' "$profile" | sha256sum | cut -d' ' -f1)
@@ -44,4 +52,9 @@ for p in antlr bloat chart eclipse hsqldb jython lusearch pmd xalan; do
 done
 for c in taint races; do
   row jython 2objH "$c" 2objH/unbudgeted
+done
+for p in antlr bloat chart eclipse hsqldb jython lusearch pmd xalan; do
+  for f in insens 2objH; do
+    row "$p" "$f" lint "$f"
+  done
 done
