@@ -30,11 +30,6 @@ impl<I: Idx> IdBitSet<I> {
         }
     }
 
-    /// Domain size this set was created for.
-    pub fn domain_size(&self) -> usize {
-        self.len
-    }
-
     /// Inserts `id`; returns whether it was newly inserted.
     ///
     /// # Panics

@@ -54,7 +54,7 @@ pub enum ParamCut {
 
 /// The cut decisions for one method.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct MethodCuts {
+struct MethodCuts {
     /// Per formal parameter (by position), the cut applied to its incoming
     /// interprocedural edge, if any.
     pub params: Vec<Option<ParamCut>>,
@@ -176,11 +176,6 @@ impl CutSummary {
     #[inline]
     pub fn getter_return(&self, method: MethodId) -> Option<FieldId> {
         self.cuts.get(method).and_then(|mc| mc.getter_return)
-    }
-
-    /// The cut decisions of `method`.
-    pub fn method_cuts(&self, method: MethodId) -> Option<&MethodCuts> {
-        self.cuts.get(method)
     }
 
     /// Whether the pass found nothing to cut.

@@ -277,8 +277,9 @@ pub fn analyze_flavor(
 /// Everything produced by a two-pass introspective run.
 #[derive(Debug)]
 pub struct IntrospectiveRun {
-    /// The first, context-insensitive pass.
-    pub first_pass: PointsToResult,
+    /// The first, context-insensitive pass (shared with whoever supplied
+    /// it to [`analyze_introspective_from`]).
+    pub first_pass: Arc<PointsToResult>,
     /// The metrics computed from the first pass.
     pub metrics: IntrospectionMetrics,
     /// The selected refinement (complement form).
@@ -313,15 +314,17 @@ pub fn analyze_introspective(
 
 /// Like [`analyze_introspective`] but reusing an existing first-pass result
 /// (the paper's §4 note: the insensitive pass can be shared across
-/// introspective variants).
+/// introspective variants). Pass an `Arc` to share the pass without
+/// copying it.
 pub fn analyze_introspective_from(
     program: &Program,
     hierarchy: &ClassHierarchy,
     flavor: Flavor,
     heuristic: &dyn RefinementHeuristic,
     config: &SolverConfig,
-    first_pass: PointsToResult,
+    first_pass: impl Into<Arc<PointsToResult>>,
 ) -> IntrospectiveRun {
+    let first_pass = first_pass.into();
     let select_start = Instant::now();
     let sel_span = crate::telemetry::span_opt(&config.telemetry, "introspection");
     let metrics = IntrospectionMetrics::compute(program, &first_pass);

@@ -78,7 +78,7 @@ pub mod telemetry;
 pub use clients::PrecisionMetrics;
 pub use context::{CObj, ContextElem, CtxId, CtxTables, HCtxId};
 pub use cs_facts::{ClientError, Supervised};
-pub use cutshortcut::{CutStats, CutSummary, MethodCuts, ParamCut};
+pub use cutshortcut::{CutStats, CutSummary, ParamCut};
 pub use driver::{
     analyze_flavor, analyze_introspective, Flavor, FlavorParseError, IntrospectiveRun,
 };

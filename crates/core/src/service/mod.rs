@@ -24,9 +24,11 @@
 //! - [`client`] — the query client with bounded exponential backoff and
 //!   SplitMix64 jitter (deterministic under a seed).
 //!
-//! Responses reuse the exact renderers the batch CLI prints, so a
-//! daemon-served document is byte-identical to batch stdout for the same
-//! program, flavor and query — the property the e2e suite pins.
+//! Responses come from [`render_doc`], the renderer `rudoop taint` and
+//! `rudoop races` print through, over the same reports `rudoop --dump`,
+//! `--stats` and `--pts` print, so a daemon-served document is
+//! byte-identical to batch stdout for the same program, flavor and query
+//! — the property the e2e suite pins.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -217,7 +219,8 @@ impl ServiceState {
         &self.admission
     }
 
-    /// Registers an extension query handler for `kind` (e.g. `lints`).
+    /// Registers an extension query handler for `kind` (e.g. `lints`). The
+    /// kinds [`render_doc`] serves are never routed to a handler.
     pub fn register_handler(&mut self, kind: &str, handler: Box<dyn QueryHandler>) {
         self.handlers.insert(kind.to_owned(), handler);
     }
@@ -324,7 +327,31 @@ impl ServiceState {
         // The degraded flag tracks the ladder verdict, not the rendering:
         // a cancelled run that has nothing to render still counts.
         let degraded = run.exit_code() != 0;
-        let doc = match self.render_doc(query, &run) {
+        let handler = self
+            .handlers
+            .get(query.kind.as_str())
+            .filter(|_| !DOC_KINDS.contains(&query.kind.as_str()));
+        let doc = match handler {
+            Some(handler) => run
+                .result
+                .as_ref()
+                .ok_or_else(|| {
+                    "analysis did not complete: extension queries need a completed rung".to_owned()
+                })
+                .and_then(|result| {
+                    handler.handle(&self.program, &self.hierarchy, result, query.format)
+                }),
+            None => render_doc(
+                &self.program,
+                self.config.taint_spec.as_ref(),
+                &query.kind,
+                query.format,
+                query.var.as_deref(),
+                &run,
+                &TelemetryHandle::default(),
+            ),
+        };
+        let doc = match doc {
             Ok(doc) => doc,
             Err(message) => {
                 return Executed {
@@ -343,66 +370,59 @@ impl ServiceState {
             degraded,
         }
     }
+}
 
-    /// Renders the document for a completed run — the exact bytes the
-    /// batch CLI prints on stdout for the same query.
-    fn render_doc(&self, query: &QueryRequest, run: &SupervisedRun) -> Result<String, String> {
-        let none = TelemetryHandle::default();
-        match query.kind.as_str() {
-            "taint" => {
-                let spec = self
-                    .config
-                    .taint_spec
-                    .as_ref()
-                    .ok_or("daemon started without --taint-spec; taint queries unavailable")?;
-                let taint = supervised_taint_traced(&self.program, spec, run, &none);
-                Ok(match query.format {
-                    DocFormat::Json => crate::taint::render_json(&self.program, &taint),
-                    DocFormat::Text => crate::taint::render_text(&self.program, &taint),
-                })
-            }
-            "races" => {
-                let races = supervised_races_traced(&self.program, run, &none);
-                Ok(match query.format {
-                    DocFormat::Json => crate::races::render_json(&self.program, &races),
-                    DocFormat::Text => crate::races::render_text(&races),
-                })
-            }
-            "stats" => {
-                let result = run.best_result().ok_or(
-                    "no facts to report: every rung \
-                     exhausted before salvaging anything",
-                )?;
-                Ok(ResultStats::compute(&self.program, result, 10).render(&self.program))
-            }
-            "dump" => {
-                let result = run.best_result().ok_or(
-                    "no facts to report: every rung \
-                     exhausted before salvaging anything",
-                )?;
-                Ok(render_dump(&self.program, result))
-            }
-            "pts" => {
-                let var = query.var.as_deref().ok_or("pts query requires a var")?;
-                let result = run.best_result().ok_or(
-                    "no facts to report: every rung \
-                     exhausted before salvaging anything",
-                )?;
-                render_pts(&self.program, result, var)
-                    .ok_or_else(|| format!("no variable matches {var:?}"))
-            }
-            other => {
-                let handler = self
-                    .handlers
-                    .get(other)
-                    .ok_or_else(|| format!("unknown query kind {other:?}"))?;
-                let result = run.result.as_ref().ok_or(
-                    "analysis did not complete: \
-                     extension queries need a completed rung",
-                )?;
-                handler.handle(&self.program, &self.hierarchy, result, query.format)
-            }
+/// The built-in query kinds: the documents [`render_doc`] renders.
+const DOC_KINDS: [&str; 5] = ["taint", "races", "stats", "dump", "pts"];
+
+/// Renders the `kind` document (`taint`, `races`, `stats`, `dump` or
+/// `pts`) of a supervised run: the bytes `rudoopd` serves and, for the
+/// two clients, the bytes `rudoop taint`/`rudoop races` print on stdout.
+/// `taint_spec` serves `taint` and `var` serves `pts`; `tele` traces the
+/// client run.
+///
+/// # Errors
+///
+/// A message for an unknown kind, a missing spec or var, a `pts` var
+/// that matches nothing, or a run with no facts to report.
+pub fn render_doc(
+    program: &Program,
+    taint_spec: Option<&TaintSpec>,
+    kind: &str,
+    format: DocFormat,
+    var: Option<&str>,
+    run: &SupervisedRun,
+    tele: &TelemetryHandle,
+) -> Result<String, String> {
+    const NO_FACTS: &str = "no facts to report: every rung exhausted before salvaging anything";
+    match kind {
+        "taint" => {
+            let spec = taint_spec
+                .ok_or("daemon started without --taint-spec; taint queries unavailable")?;
+            let taint = supervised_taint_traced(program, spec, run, tele);
+            Ok(match format {
+                DocFormat::Json => crate::taint::render_json(program, &taint),
+                DocFormat::Text => crate::taint::render_text(program, &taint),
+            })
         }
+        "races" => {
+            let races = supervised_races_traced(program, run, tele);
+            Ok(match format {
+                DocFormat::Json => crate::races::render_json(program, &races),
+                DocFormat::Text => crate::races::render_text(&races),
+            })
+        }
+        "stats" => {
+            let result = run.best_result().ok_or(NO_FACTS)?;
+            Ok(ResultStats::compute(program, result, 10).render(program))
+        }
+        "dump" => Ok(render_dump(program, run.best_result().ok_or(NO_FACTS)?)),
+        "pts" => {
+            let var = var.ok_or("pts query requires a var")?;
+            let result = run.best_result().ok_or(NO_FACTS)?;
+            render_pts(program, result, var).ok_or_else(|| format!("no variable matches {var:?}"))
+        }
+        other => Err(format!("unknown query kind {other:?}")),
     }
 }
 

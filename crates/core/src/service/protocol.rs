@@ -123,6 +123,18 @@ pub enum DocFormat {
     Json,
 }
 
+impl DocFormat {
+    /// Parses a `--format` value or the wire `format` field: `text` or
+    /// `json`.
+    pub fn parse(s: &str) -> Option<DocFormat> {
+        match s {
+            "text" => Some(DocFormat::Text),
+            "json" => Some(DocFormat::Json),
+            _ => None,
+        }
+    }
+}
+
 /// Per-request resource limits, all optional (absent = unlimited).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BudgetSpec {
@@ -247,9 +259,10 @@ impl Request {
                     .ok_or("query has no \"kind\"")?
                     .to_owned();
                 let format = match value.get("format").and_then(Value::as_str) {
-                    None | Some("text") => DocFormat::Text,
-                    Some("json") => DocFormat::Json,
-                    Some(other) => return Err(format!("unknown format {other:?}")),
+                    None => DocFormat::Text,
+                    Some(s) => {
+                        DocFormat::parse(s).ok_or_else(|| format!("unknown format {s:?}"))?
+                    }
                 };
                 let u64_field = |key: &str| -> Result<Option<u64>, String> {
                     match value.get(key) {

@@ -121,11 +121,6 @@ impl Budget {
         self.max_bytes = Some(n);
         self
     }
-
-    /// Whether no limit is set.
-    pub fn is_unlimited(&self) -> bool {
-        self.max_derivations.is_none() && self.max_duration.is_none() && self.max_bytes.is_none()
-    }
 }
 
 /// A cooperative cancellation token, checked by the solver's worklist loop.

@@ -191,11 +191,23 @@ impl LadderSpec {
         }
     }
 
+    /// The three-rung ladder around one introspective rung:
+    /// `flavor → introX:flavor → insens`.
+    pub fn introspective(flavor: Flavor, heuristic: HeuristicChoice) -> Self {
+        LadderSpec {
+            rungs: vec![
+                RungSpec::direct(flavor),
+                RungSpec::introspective(flavor, heuristic),
+                RungSpec::direct(Flavor::Insensitive),
+            ],
+        }
+    }
+
     /// Parses a comma-separated rung list (`2objH,introB:2objH,insens`).
     ///
     /// Two conveniences: `default` names [`LadderSpec::default_for`]
-    /// `2objH`, and a lone `introX:FLAVOR` rung expands to the canonical
-    /// three-rung ladder `FLAVOR → introX:FLAVOR → insens`.
+    /// `2objH`, and a lone `introX:FLAVOR` rung expands to
+    /// [`LadderSpec::introspective`].
     pub fn parse(spec: &str) -> Result<Self, String> {
         if spec == "default" {
             return Ok(LadderSpec::default());
@@ -224,16 +236,11 @@ impl LadderSpec {
         if rungs.is_empty() {
             return Err("empty ladder".to_owned());
         }
-        if rungs.len() == 1 {
-            if let RungKind::Introspective { flavor, .. } = rungs[0].kind {
-                return Ok(LadderSpec {
-                    rungs: vec![
-                        RungSpec::direct(flavor),
-                        rungs[0],
-                        RungSpec::direct(Flavor::Insensitive),
-                    ],
-                });
-            }
+        if let [RungSpec {
+            kind: RungKind::Introspective { flavor, heuristic },
+        }] = rungs[..]
+        {
+            return Ok(LadderSpec::introspective(flavor, heuristic));
         }
         Ok(LadderSpec { rungs })
     }
@@ -486,9 +493,8 @@ impl Drop for Watchdog {
 enum FirstPass {
     NotRun,
     /// Completed here, or a resident service's warm pass admitted by this
-    /// run's budget; reused by every introspective rung. Held by reference
-    /// and cloned at each introspective use, so all-direct ladders never
-    /// pay for a copy of a warm pass.
+    /// run's budget; every introspective rung shares it through the `Arc`,
+    /// so no rung copies the pass.
     Done(Arc<PointsToResult>),
     /// Itself exhausted under the budget: introspective rungs cannot run.
     Exhausted,
@@ -565,9 +571,12 @@ pub fn supervise(
             summaries: warm_summaries,
             ..cfg.solver.clone()
         };
-        // A watchdog enforces the duration budget even when an iteration
-        // stalls inside the solver (the in-loop wall-clock check only runs
-        // between worklist steps), and relays external cancellation.
+        // The watchdog's token is read only by the solver's per-step stop
+        // check, like the solver's own deadline, so it cannot interrupt a
+        // stalled step. What it adds is one deadline for the whole rung —
+        // pre-pass, first pass and selection included, where the solver's
+        // deadline restarts with each solve — and the relay of external
+        // cancellation.
         let deadline = cfg.budget.max_duration;
         let _watchdog = (deadline.is_some() || external.is_some())
             .then(|| Watchdog::arm(rung_token.clone(), deadline, external.clone(), tele.clone()));
@@ -581,7 +590,13 @@ pub fn supervise(
             RungKind::Introspective { flavor, heuristic } => {
                 if matches!(first_pass, FirstPass::NotRun) {
                     let fp_span = crate::telemetry::span_opt(&tele, "first-pass");
-                    let fp = analyze(program, hierarchy, &Insensitive, &rung_config);
+                    // Only the refined pass feeds a client: the first pass
+                    // keeps no per-context dump.
+                    let fp_config = SolverConfig {
+                        record_contexts: false,
+                        ..rung_config.clone()
+                    };
+                    let fp = analyze(program, hierarchy, &Insensitive, &fp_config);
                     if let Some(span) = &fp_span {
                         span.arg("outcome", format!("{:?}", fp.outcome));
                     }
@@ -606,7 +621,7 @@ pub fn supervise(
                             *flavor,
                             heuristic.as_dyn(),
                             &rung_config,
-                            (**fp).clone(),
+                            Arc::clone(fp),
                         );
                         (run.result, Some(run.selection_time))
                     }

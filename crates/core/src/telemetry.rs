@@ -291,11 +291,6 @@ impl Telemetry {
         self.lock().instants.clone()
     }
 
-    /// The deterministic counter stream, in record order.
-    pub fn counter_stream(&self) -> Vec<(String, u64)> {
-        self.lock().counters.clone()
-    }
-
     /// The engine metric stream, in record order.
     pub fn metric_stream(&self) -> Vec<(String, u64)> {
         self.lock().metrics.clone()

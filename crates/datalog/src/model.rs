@@ -46,27 +46,6 @@ pub struct ModelResult {
 }
 
 impl ModelResult {
-    /// Projected var-points-to: sorted, deduplicated `(var, heap)` pairs.
-    pub fn var_points_to_projected(&self) -> Vec<(VarId, AllocId)> {
-        let mut v: Vec<(VarId, AllocId)> = self
-            .var_points_to
-            .iter()
-            .map(|&(var, _, heap, _)| (var, heap))
-            .collect();
-        v.sort_unstable();
-        v.dedup();
-        v
-    }
-
-    /// Projected call graph: sorted, deduplicated `(invoke, target)` pairs.
-    pub fn call_graph_projected(&self) -> Vec<(InvokeId, MethodId)> {
-        let mut v: Vec<(InvokeId, MethodId)> =
-            self.call_graph.iter().map(|&(i, _, m, _)| (i, m)).collect();
-        v.sort_unstable();
-        v.dedup();
-        v
-    }
-
     /// Projected reachable methods, sorted and deduplicated.
     pub fn reachable_projected(&self) -> Vec<MethodId> {
         let mut v: Vec<MethodId> = self.reachable.iter().map(|&(m, _)| m).collect();

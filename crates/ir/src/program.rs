@@ -380,15 +380,6 @@ impl Program {
         })
     }
 
-    /// Returns the virtual-call receiver and signature of `invoke`, if it is
-    /// a virtual call.
-    pub fn virtual_call(&self, invoke: InvokeId) -> Option<(VarId, SigId)> {
-        match self.invokes[invoke].kind {
-            InvokeKind::Virtual { base, sig } => Some((base, sig)),
-            _ => None,
-        }
-    }
-
     /// The body position of an invocation site: the enclosing method and
     /// the index of its `Call` (or `Spawn`) instruction. Used by
     /// diagnostics to anchor findings about call sites (every invoke built

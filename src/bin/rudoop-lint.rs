@@ -57,13 +57,14 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use rudoop::analysis::driver::Flavor;
+use rudoop::analysis::service::protocol::DocFormat;
 use rudoop::analysis::solver::{Budget, SolverConfig};
 use rudoop::analysis::supervisor::{supervise, LadderSpec, RungSpec, SupervisorConfig};
 use rudoop::analysis::taint::analyze_taint_traced;
 use rudoop::analysis::telemetry::span_opt;
 use rudoop::analysis::{Telemetry, TelemetryHandle};
-use rudoop::cli::{flush_telemetry, load_program_for, print_stdout};
-use rudoop::ir::{ClassHierarchy, TaintSpec};
+use rudoop::cli::{flush_telemetry, load_input, parse_timeout, print_stdout};
+use rudoop::ir::ClassHierarchy;
 use rudoop::lints::diagnostics::{has_errors, render, render_json, validate_diagnostics};
 use rudoop::lints::{Level, LintContext, LintRegistry};
 
@@ -76,7 +77,7 @@ struct Options {
     list: bool,
     taint_spec: Option<String>,
     races: bool,
-    json: bool,
+    format: DocFormat,
     trace: Option<String>,
     profile: Option<String>,
     telemetry: bool,
@@ -104,7 +105,7 @@ fn parse_args() -> Options {
         list: false,
         taint_spec: None,
         races: false,
-        json: false,
+        format: DocFormat::Text,
         trace: None,
         profile: None,
         telemetry: false,
@@ -121,11 +122,7 @@ fn parse_args() -> Options {
             "--no-points-to" => opts.points_to = false,
             "--timeout" => {
                 let secs = args.next().unwrap_or_else(|| usage());
-                let secs: f64 = secs.parse().unwrap_or_else(|_| usage());
-                if !secs.is_finite() || secs <= 0.0 {
-                    usage();
-                }
-                opts.timeout = Some(Duration::from_secs_f64(secs));
+                opts.timeout = Some(parse_timeout(&secs).unwrap_or_else(|| usage()));
             }
             "--allow" => {
                 let code = args.next().unwrap_or_else(|| usage());
@@ -143,14 +140,13 @@ fn parse_args() -> Options {
                 opts.taint_spec = Some(args.next().unwrap_or_else(|| usage()));
             }
             "--races" => opts.races = true,
-            "--format" => match args.next().unwrap_or_else(|| usage()).as_str() {
-                "text" => opts.json = false,
-                "json" => opts.json = true,
-                other => {
-                    eprintln!("unknown format {other:?} (expected text or json)");
-                    usage();
-                }
-            },
+            "--format" => {
+                let fmt = args.next().unwrap_or_else(|| usage());
+                opts.format = DocFormat::parse(&fmt).unwrap_or_else(|| {
+                    eprintln!("unknown format {fmt:?} (expected text or json)");
+                    usage()
+                });
+            }
             "--trace" => opts.trace = Some(args.next().unwrap_or_else(|| usage())),
             "--profile" => opts.profile = Some(args.next().unwrap_or_else(|| usage())),
             "--telemetry" => opts.telemetry = true,
@@ -209,38 +205,24 @@ fn run(opts: &Options, tele: &TelemetryHandle) -> ExitCode {
         }
     }
 
-    let builtin_taint = opts.taint_spec.as_deref() == Some("builtin");
     let parse_span = span_opt(tele, "parse");
     if let Some(s) = &parse_span {
         s.arg("input", &opts.input);
     }
-    let (program, builtin_spec) =
-        match load_program_for("--taint-spec", &opts.input, builtin_taint, opts.races) {
-            Ok(pair) => pair,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::from(2);
-            }
-        };
+    // Validity is not checked here: it is reported below as E-diagnostics.
+    let loaded = load_input(
+        &opts.input,
+        "--taint-spec",
+        opts.taint_spec.as_deref(),
+        opts.races,
+        false,
+    );
     drop(parse_span);
-    let taint_spec = match &opts.taint_spec {
-        None => None,
-        Some(_) if builtin_taint => builtin_spec,
-        Some(path) => {
-            let text = match std::fs::read_to_string(path) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("error: {path}: {e}");
-                    return ExitCode::from(2);
-                }
-            };
-            match TaintSpec::parse(&text, &program) {
-                Ok(s) => Some(s),
-                Err(e) => {
-                    eprintln!("error: {path}: {e}");
-                    return ExitCode::from(2);
-                }
-            }
+    let (program, taint_spec) = match loaded {
+        Ok(pair) => pair,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::from(2);
         }
     };
 
@@ -250,10 +232,10 @@ fn run(opts: &Options, tele: &TelemetryHandle) -> ExitCode {
     let hierarchy = ClassHierarchy::new(&program);
     let mut degraded = false;
     if diags.is_empty() {
-        // The backing analysis runs on a one-rung ladder, so the
-        // supervisor's watchdog enforces `--timeout` even if a worklist
-        // step stalls (the solver's own wall-clock check runs between
-        // steps).
+        // The backing analysis runs on a one-rung ladder, so `--timeout`
+        // is the supervisor's per-rung deadline: it spans a flavor's
+        // pre-pass as well as the solve. Like the solver's own deadline it
+        // is checked between worklist steps.
         let run = opts.points_to.then(|| {
             let cfg = SupervisorConfig {
                 ladder: LadderSpec {
@@ -310,7 +292,7 @@ fn run(opts: &Options, tele: &TelemetryHandle) -> ExitCode {
         diags = registry.run_traced(&cx, tele);
     }
 
-    if opts.json {
+    if opts.format == DocFormat::Json {
         print_stdout(&render_json(&program, &diags));
     } else {
         print_stdout(&render(&program, &diags));

@@ -94,33 +94,31 @@
 //! 5 shed on every retry.
 
 use std::process::ExitCode;
-use std::time::Duration;
 
 use rudoop::analysis::driver::{analyze_flavor, analyze_introspective, Flavor};
-use rudoop::analysis::heuristics::{HeuristicA, HeuristicB, RefinementHeuristic};
-use rudoop::analysis::races::supervised_races_traced;
+use rudoop::analysis::service::protocol::DocFormat;
+use rudoop::analysis::service::render_doc;
 use rudoop::analysis::solver::{Budget, SolverConfig};
-use rudoop::analysis::supervisor::{supervise, LadderSpec, SupervisedRun, SupervisorConfig};
-use rudoop::analysis::taint::supervised_taint_traced;
+use rudoop::analysis::supervisor::{
+    supervise, HeuristicChoice, LadderSpec, SupervisedRun, SupervisorConfig,
+};
 use rudoop::analysis::telemetry::span_opt;
 use rudoop::analysis::{
     render_supervised, PrecisionMetrics, ResultStats, Telemetry, TelemetryHandle,
 };
-use rudoop::cli::{flush_telemetry, print_stdout};
-use rudoop::ir::{validate, ClassHierarchy, Program, TaintSpec};
+use rudoop::cli::{flush_telemetry, load_input, parse_timeout, print_stdout};
+use rudoop::ir::{ClassHierarchy, Program, TaintSpec};
 
 struct Options {
     input: String,
-    taint_cmd: bool,
-    races_cmd: bool,
+    /// The client subcommand: `taint` or `races`.
+    client: Option<String>,
     spec: Option<String>,
     flavor: Flavor,
-    introspective: Option<char>,
+    introspective: Option<HeuristicChoice>,
     ladder: Option<LadderSpec>,
-    budget: Option<u64>,
-    max_bytes: Option<u64>,
-    timeout: Option<Duration>,
-    json: bool,
+    budget: Budget,
+    format: DocFormat,
     filter_casts: bool,
     stats: bool,
     pts: Vec<String>,
@@ -146,16 +144,13 @@ fn parse_args() -> Options {
     let mut args = std::env::args().skip(1);
     let mut opts = Options {
         input: String::new(),
-        taint_cmd: false,
-        races_cmd: false,
+        client: None,
         spec: None,
         flavor: Flavor::OBJ2H,
         introspective: None,
         ladder: None,
-        budget: None,
-        max_bytes: None,
-        timeout: None,
-        json: false,
+        budget: Budget::unlimited(),
+        format: DocFormat::Text,
         filter_casts: false,
         stats: false,
         pts: Vec::new(),
@@ -176,8 +171,8 @@ fn parse_args() -> Options {
             "--introspective" => {
                 let h = args.next().unwrap_or_else(|| usage());
                 match h.as_str() {
-                    "A" => opts.introspective = Some('A'),
-                    "B" => opts.introspective = Some('B'),
+                    "A" => opts.introspective = Some(HeuristicChoice::a()),
+                    "B" => opts.introspective = Some(HeuristicChoice::b()),
                     _ => usage(),
                 }
             }
@@ -190,30 +185,26 @@ fn parse_args() -> Options {
             }
             "--budget" => {
                 let n = args.next().unwrap_or_else(|| usage());
-                opts.budget = Some(n.parse().unwrap_or_else(|_| usage()));
+                opts.budget = opts
+                    .budget
+                    .and_derivations(n.parse().unwrap_or_else(|_| usage()));
             }
             "--max-bytes" => {
                 let n = args.next().unwrap_or_else(|| usage());
-                opts.max_bytes = Some(n.parse().unwrap_or_else(|_| usage()));
+                opts.budget = opts.budget.and_bytes(n.parse().unwrap_or_else(|_| usage()));
             }
             "--timeout" => {
                 let secs = args.next().unwrap_or_else(|| usage());
-                let secs: f64 = secs.parse().unwrap_or_else(|_| usage());
-                if !secs.is_finite() || secs <= 0.0 {
-                    usage();
-                }
-                opts.timeout = Some(Duration::from_secs_f64(secs));
+                opts.budget = opts
+                    .budget
+                    .and_duration(parse_timeout(&secs).unwrap_or_else(|| usage()));
             }
             "--format" => {
                 let fmt = args.next().unwrap_or_else(|| usage());
-                match fmt.as_str() {
-                    "text" => opts.json = false,
-                    "json" => opts.json = true,
-                    _ => {
-                        eprintln!("unknown format {fmt:?} (expected text or json)");
-                        usage();
-                    }
-                }
+                opts.format = DocFormat::parse(&fmt).unwrap_or_else(|| {
+                    eprintln!("unknown format {fmt:?} (expected text or json)");
+                    usage()
+                });
             }
             "--spec" => opts.spec = Some(args.next().unwrap_or_else(|| usage())),
             "--check-trace" => {
@@ -253,11 +244,8 @@ fn parse_args() -> Options {
             "--pts" => opts.pts.push(args.next().unwrap_or_else(|| usage())),
             "--dump" => opts.dump = true,
             "--help" | "-h" => usage(),
-            "taint" if !opts.taint_cmd && !opts.races_cmd && opts.input.is_empty() => {
-                opts.taint_cmd = true;
-            }
-            "races" if !opts.taint_cmd && !opts.races_cmd && opts.input.is_empty() => {
-                opts.races_cmd = true;
+            "taint" | "races" if opts.client.is_none() && opts.input.is_empty() => {
+                opts.client = Some(arg);
             }
             other if opts.input.is_empty() && !other.starts_with('-') => {
                 opts.input = other.to_owned();
@@ -271,28 +259,21 @@ fn parse_args() -> Options {
     if opts.input.is_empty() {
         usage();
     }
-    if opts.taint_cmd && opts.spec.is_none() {
+    let taint_cmd = opts.client.as_deref() == Some("taint");
+    if taint_cmd && opts.spec.is_none() {
         eprintln!("the taint subcommand needs --spec FILE (or --spec builtin for @benchmarks)");
         usage();
     }
-    if !opts.taint_cmd && opts.spec.is_some() {
+    if !taint_cmd && opts.spec.is_some() {
         eprintln!("--spec only makes sense with the taint subcommand");
         usage();
     }
-    if !opts.taint_cmd && !opts.races_cmd && opts.json {
+    if opts.client.is_none() && opts.format == DocFormat::Json {
         eprintln!("--format json only makes sense with the taint or races subcommand");
         usage();
     }
     opts
 }
-
-/// Loads the program plus, for `--spec builtin` on a `@benchmark`, the
-/// workload's canonical TaintKit spec (switching the taint battery on in
-/// the build, since the default recipes omit it). The races subcommand
-/// switches the workload's concurrency battery on the same way — the
-/// default recipes are sequential, so a race run over a stock benchmark
-/// would be vacuous.
-use rudoop::cli::load_program;
 
 /// The `query` subcommand: one request against a resident `rudoopd`,
 /// with bounded exponential backoff and SplitMix64 jitter on `busy`
@@ -302,7 +283,7 @@ use rudoop::cli::load_program;
 /// answered queries, 1 for errors, 5 when every retry was shed.
 fn run_query() -> ExitCode {
     use rudoop::analysis::service::client::{query_with_retry, ClientError, RetryPolicy};
-    use rudoop::analysis::service::protocol::{BudgetSpec, DocFormat, QueryRequest, Request};
+    use rudoop::analysis::service::protocol::{BudgetSpec, QueryRequest, Request};
 
     fn query_usage() -> ! {
         eprintln!(
@@ -336,14 +317,13 @@ fn run_query() -> ExitCode {
             "--addr" => addr = Some(next("HOST:PORT")),
             "--kind" => query.kind = next("KIND"),
             "--var" => query.var = Some(next("VAR")),
-            "--format" => match next("text|json").as_str() {
-                "text" => query.format = DocFormat::Text,
-                "json" => query.format = DocFormat::Json,
-                other => {
-                    eprintln!("unknown format {other:?}");
+            "--format" => {
+                let fmt = next("text|json");
+                query.format = DocFormat::parse(&fmt).unwrap_or_else(|| {
+                    eprintln!("unknown format {fmt:?}");
                     query_usage()
-                }
-            },
+                });
+            }
             "--ladder" => query.ladder = Some(next("SPEC")),
             "--budget" => {
                 query.budget.derivations = Some(next("N").parse().unwrap_or_else(|_| query_usage()))
@@ -427,47 +407,33 @@ fn main() -> ExitCode {
     let opts = parse_args();
     let tele: TelemetryHandle = (opts.trace.is_some() || opts.profile.is_some() || opts.telemetry)
         .then(|| std::sync::Arc::new(Telemetry::new()));
-    let builtin_taint = opts.taint_cmd && opts.spec.as_deref() == Some("builtin");
     let parse_span = span_opt(&tele, "parse");
     if let Some(s) = &parse_span {
         s.arg("input", &opts.input);
     }
-    let (program, builtin_spec) = match load_program(&opts.input, builtin_taint, opts.races_cmd) {
+    // The races subcommand switches a benchmark's concurrency battery on:
+    // the default recipes are sequential, so a race run would be vacuous.
+    let races = opts.client.as_deref() == Some("races");
+    let (program, spec) = match load_input(&opts.input, "--spec", opts.spec.as_deref(), races, true)
+    {
         Ok(pair) => pair,
         Err(e) => {
             eprintln!("error: {e}");
             return ExitCode::FAILURE;
         }
     };
-    if let Err(errs) = validate(&program) {
-        eprintln!("error: invalid program:");
-        for e in errs {
-            eprintln!("  {e}");
-        }
-        return ExitCode::FAILURE;
-    }
     drop(parse_span);
     let hierarchy = ClassHierarchy::new(&program);
-    let mut budget = Budget::unlimited();
-    if let Some(n) = opts.budget {
-        budget = budget.and_derivations(n);
-    }
-    if let Some(n) = opts.max_bytes {
-        budget = budget.and_bytes(n);
-    }
-    if let Some(d) = opts.timeout {
-        budget = budget.and_duration(d);
-    }
     let config = SolverConfig {
-        budget,
+        budget: opts.budget,
         filter_casts: opts.filter_casts,
         // The taint and race clients walk per-context points-to facts.
-        record_contexts: opts.taint_cmd || opts.races_cmd,
+        record_contexts: opts.client.is_some(),
         telemetry: tele.clone(),
         ..SolverConfig::default()
     };
 
-    let code = run(&program, &hierarchy, builtin_spec, budget, config, &opts);
+    let code = run(&program, &hierarchy, spec.as_ref(), config, &opts);
     if let Err(e) = flush_telemetry(
         &tele,
         opts.trace.as_deref(),
@@ -480,57 +446,26 @@ fn main() -> ExitCode {
     code
 }
 
-/// Dispatches to the taint subcommand, ladder mode, or a plain single run.
+/// Dispatches to a client subcommand, ladder mode, or a plain single run.
 fn run(
     program: &Program,
     hierarchy: &ClassHierarchy,
-    builtin_spec: Option<TaintSpec>,
-    budget: Budget,
+    spec: Option<&TaintSpec>,
     config: SolverConfig,
     opts: &Options,
 ) -> ExitCode {
-    let builtin_taint = opts.taint_cmd && opts.spec.as_deref() == Some("builtin");
-    if opts.taint_cmd {
-        let spec = match &opts.spec {
-            Some(_) if builtin_taint => builtin_spec.expect("builtin spec was loaded"),
-            Some(path) => {
-                let text = match std::fs::read_to_string(path) {
-                    Ok(t) => t,
-                    Err(e) => {
-                        eprintln!("error: {path}: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                };
-                match TaintSpec::parse(&text, program) {
-                    Ok(s) => s,
-                    Err(e) => {
-                        eprintln!("error: {path}: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            None => unreachable!("parse_args requires --spec with taint"),
-        };
-        return run_taint(program, hierarchy, &spec, budget, config, opts);
+    if let Some(kind) = &opts.client {
+        return run_client(program, hierarchy, spec, kind, config, opts);
     }
-    if opts.races_cmd {
-        return run_races(program, hierarchy, budget, config, opts);
-    }
-
-    if let Some(ladder) = opts.ladder.clone() {
-        return run_ladder(program, hierarchy, ladder, budget, config, opts);
+    if let Some(ladder) = &opts.ladder {
+        return run_ladder(program, hierarchy, ladder.clone(), config, opts);
     }
 
     let result = match opts.introspective {
         None => analyze_flavor(program, hierarchy, opts.flavor, &config),
-        Some(which) => {
-            let heuristic: Box<dyn RefinementHeuristic> = if which == 'A' {
-                Box::new(HeuristicA::default())
-            } else {
-                Box::new(HeuristicB::default())
-            };
+        Some(heuristic) => {
             let run =
-                analyze_introspective(program, hierarchy, opts.flavor, heuristic.as_ref(), &config);
+                analyze_introspective(program, hierarchy, opts.flavor, heuristic.as_dyn(), &config);
             eprintln!(
                 "selection: {:.1}% of call sites, {:.1}% of objects not refined",
                 run.refinement_stats.call_site_pct(),
@@ -557,82 +492,58 @@ fn run(
         "precision: {} polymorphic virtual call sites, {} reachable methods, {} casts may fail",
         pm.polymorphic_call_sites, pm.reachable_methods, pm.casts_may_fail
     );
-    print_reports(program, hierarchy, &result, opts);
+    print_reports(program, &result, opts);
     ExitCode::SUCCESS
 }
 
-/// The `taint` subcommand: supervise the points-to analysis down the
-/// ladder, then run the taint client on the completed rung. An exhausted
-/// ladder skips taint with a note (the 0/3/4 exit contract is the
-/// supervisor's).
-fn run_taint(
-    program: &Program,
-    hierarchy: &ClassHierarchy,
-    spec: &TaintSpec,
-    budget: Budget,
-    solver: SolverConfig,
-    opts: &Options,
-) -> ExitCode {
-    let tele = solver.telemetry.clone();
-    let run = supervise_client(program, hierarchy, budget, solver, opts);
-    // Keep stdout a single document either way; the ladder table is still
-    // useful context, so it moves to stderr.
-    eprint!("{}", render_supervised(&run));
-    let taint = supervised_taint_traced(program, spec, &run, &tele);
-    if opts.json {
-        print_stdout(&rudoop::analysis::taint::render_json(program, &taint));
-    } else {
-        print_stdout(&rudoop::analysis::taint::render_text(program, &taint));
-    }
-    ExitCode::from(run.exit_code())
-}
-
-/// The `races` subcommand: supervise the points-to analysis down the
-/// ladder, then run the data-race client on the completed rung. An
-/// exhausted ladder skips race detection with a note (the 0/3/4 exit
+/// The `taint` and `races` subcommands: supervise the points-to analysis
+/// (the `--ladder` spec, or the canonical ladder for `--analysis` and
+/// `--introspective`), then print the client's document on the completed
+/// rung. An exhausted ladder skips the client with a note (the 0/3/4 exit
 /// contract is the supervisor's).
-fn run_races(
+fn run_client(
     program: &Program,
     hierarchy: &ClassHierarchy,
-    budget: Budget,
+    spec: Option<&TaintSpec>,
+    kind: &str,
     solver: SolverConfig,
     opts: &Options,
 ) -> ExitCode {
     let tele = solver.telemetry.clone();
-    let run = supervise_client(program, hierarchy, budget, solver, opts);
+    let ladder = opts
+        .ladder
+        .clone()
+        .unwrap_or_else(|| match opts.introspective {
+            Some(heuristic) => LadderSpec::introspective(opts.flavor, heuristic),
+            None => LadderSpec::default_for(opts.flavor),
+        });
+    let run = supervise_ladder(program, hierarchy, ladder, solver);
     // Keep stdout a single document either way; the ladder table is still
     // useful context, so it moves to stderr.
     eprint!("{}", render_supervised(&run));
-    let races = supervised_races_traced(program, &run, &tele);
-    if opts.json {
-        print_stdout(&rudoop::analysis::races::render_json(program, &races));
-    } else {
-        print_stdout(&rudoop::analysis::races::render_text(&races));
+    match render_doc(program, spec, kind, opts.format, None, &run, &tele) {
+        Ok(doc) => {
+            print_stdout(&doc);
+            ExitCode::from(run.exit_code())
+        }
+        Err(e) => {
+            eprintln!("error: {e}");
+            ExitCode::FAILURE
+        }
     }
-    ExitCode::from(run.exit_code())
 }
 
-/// Supervises the points-to analysis a client subcommand runs on: the
-/// `--ladder` spec, or the canonical ladder for `--analysis` and
-/// `--introspective`.
-fn supervise_client(
+/// Runs `ladder` under the supervisor, each rung with the solver's
+/// budget (`--budget`/`--max-bytes`/`--timeout`).
+fn supervise_ladder(
     program: &Program,
     hierarchy: &ClassHierarchy,
-    budget: Budget,
+    ladder: LadderSpec,
     solver: SolverConfig,
-    opts: &Options,
 ) -> SupervisedRun {
-    let ladder = match (opts.ladder.clone(), opts.introspective) {
-        (Some(l), _) => l,
-        (None, Some(which)) => {
-            let rung = format!("intro{which}:{}", opts.flavor.spec_name());
-            LadderSpec::parse(&rung).expect("canonical introspective rung parses")
-        }
-        (None, None) => LadderSpec::default_for(opts.flavor),
-    };
     let cfg = SupervisorConfig {
         ladder,
-        budget,
+        budget: solver.budget,
         solver,
         ..SupervisorConfig::default()
     };
@@ -645,17 +556,10 @@ fn run_ladder(
     program: &Program,
     hierarchy: &ClassHierarchy,
     ladder: LadderSpec,
-    budget: Budget,
     solver: SolverConfig,
     opts: &Options,
 ) -> ExitCode {
-    let cfg = SupervisorConfig {
-        ladder,
-        budget,
-        solver,
-        ..SupervisorConfig::default()
-    };
-    let run = supervise(program, hierarchy, &cfg);
+    let run = supervise_ladder(program, hierarchy, ladder, solver);
     eprint!("{}", render_supervised(&run));
     if let Some(result) = run.best_result() {
         let pm = PrecisionMetrics::compute(program, hierarchy, result);
@@ -664,18 +568,13 @@ fn run_ladder(
              {} casts may fail",
             result.analysis, pm.polymorphic_call_sites, pm.reachable_methods, pm.casts_may_fail
         );
-        print_reports(program, hierarchy, result, opts);
+        print_reports(program, result, opts);
     }
     ExitCode::from(run.exit_code())
 }
 
 /// The `--stats` / `--pts` / `--dump` reports over one result.
-fn print_reports(
-    program: &Program,
-    _hierarchy: &ClassHierarchy,
-    result: &rudoop::PointsToResult,
-    opts: &Options,
-) {
+fn print_reports(program: &Program, result: &rudoop::PointsToResult, opts: &Options) {
     if opts.stats {
         print_stdout(&format!(
             "\n{}",

@@ -48,7 +48,7 @@ use rudoop::analysis::service::server::Server;
 use rudoop::analysis::service::{QueryHandler, ServiceConfig, ServiceState};
 use rudoop::analysis::supervisor::LadderSpec;
 use rudoop::analysis::{PointsToResult, Telemetry, TelemetryHandle};
-use rudoop::ir::{validate, ClassHierarchy, Program, TaintSpec};
+use rudoop::ir::{ClassHierarchy, Program};
 use rudoop::{LintContext, LintRegistry};
 
 struct Options {
@@ -178,42 +178,18 @@ impl QueryHandler for LintsHandler {
 
 fn main() -> ExitCode {
     let opts = parse_args();
-    let builtin_taint = opts.taint_spec.as_deref() == Some("builtin");
-    let (program, builtin_spec) =
-        match rudoop::cli::load_program_for("--taint-spec", &opts.input, builtin_taint, opts.races)
-        {
-            Ok(pair) => pair,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-    if let Err(errs) = validate(&program) {
-        eprintln!("error: invalid program:");
-        for e in errs {
-            eprintln!("  {e}");
+    let (program, taint_spec) = match rudoop::cli::load_input(
+        &opts.input,
+        "--taint-spec",
+        opts.taint_spec.as_deref(),
+        opts.races,
+        true,
+    ) {
+        Ok(pair) => pair,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::FAILURE;
         }
-        return ExitCode::FAILURE;
-    }
-    let taint_spec: Option<TaintSpec> = match &opts.taint_spec {
-        Some(_) if builtin_taint => builtin_spec,
-        Some(path) => {
-            let text = match std::fs::read_to_string(path) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("error: {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            match TaintSpec::parse(&text, &program) {
-                Ok(s) => Some(s),
-                Err(e) => {
-                    eprintln!("error: {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-        None => None,
     };
     let faults = match FaultPlan::parse(&opts.inject) {
         Ok(plan) => plan,

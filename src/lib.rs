@@ -69,9 +69,10 @@ pub use rudoop_ir::{
 /// Shared plumbing for the `rudoop` / `rudoopd` / `rudoop-lint` binaries.
 pub mod cli {
     use std::io::{ErrorKind, Write as _};
+    use std::time::Duration;
 
     use rudoop_core::TelemetryHandle;
-    use rudoop_ir::{parse_program, Program, TaintSpec};
+    use rudoop_ir::{parse_program, validate, Program, TaintSpec};
     use rudoop_workloads::dacapo;
 
     /// Writes `doc` to stdout: every stdout document of the binaries goes
@@ -120,42 +121,83 @@ pub mod cli {
     /// battery on (and returns its canonical TaintKit spec) and `races`
     /// switches the concurrency battery on — the default recipes are
     /// sequential and taint-free. A builtin spec on a file input is an
-    /// error naming `--spec`, the `rudoop` flag; [`load_program_for`]
-    /// names another.
+    /// error naming `--spec`.
     pub fn load_program(
         input: &str,
         builtin_taint: bool,
         races: bool,
     ) -> Result<(Program, Option<TaintSpec>), String> {
-        load_program_for("--spec", input, builtin_taint, races)
+        load_input(
+            input,
+            "--spec",
+            builtin_taint.then_some("builtin"),
+            races,
+            false,
+        )
     }
 
-    /// [`load_program`] for a binary whose taint-spec flag is
-    /// `taint_flag` (`rudoopd` and `rudoop-lint` take `--taint-spec`).
-    pub fn load_program_for(
-        taint_flag: &str,
+    /// The input loader of all three binaries: loads `input` as
+    /// [`load_program`] does, validates the program when `check` is set,
+    /// and resolves `spec`, the value of the binary's `spec_flag` — either
+    /// `builtin` (the benchmark's canonical spec) or a spec file parsed
+    /// against the program.
+    ///
+    /// # Errors
+    ///
+    /// One message, in this order: the input cannot be loaded, the program
+    /// is invalid (`invalid program:` and one indented line per violation),
+    /// or the spec cannot be read or parsed.
+    pub fn load_input(
         input: &str,
-        builtin_taint: bool,
+        spec_flag: &str,
+        spec: Option<&str>,
         races: bool,
+        check: bool,
     ) -> Result<(Program, Option<TaintSpec>), String> {
-        if let Some(name) = input.strip_prefix('@') {
-            let mut spec = dacapo::by_name(name)
+        let builtin_taint = spec == Some("builtin");
+        let (program, builtin_spec) = if let Some(name) = input.strip_prefix('@') {
+            let mut bench = dacapo::by_name(name)
                 .ok_or_else(|| format!("unknown benchmark {name:?} (try @pmd, @hsqldb, …)"))?;
             if builtin_taint {
-                spec.taint_flows = spec.taint_flows.max(1);
+                bench.taint_flows = bench.taint_flows.max(1);
             }
             if races {
-                spec.concurrency = spec.concurrency.max(2);
+                bench.concurrency = bench.concurrency.max(2);
             }
-            let program = spec.build();
-            let taint = builtin_taint.then(|| spec.taint_spec(&program));
-            return Ok((program, taint));
+            let program = bench.build();
+            let taint = builtin_taint.then(|| bench.taint_spec(&program));
+            (program, taint)
+        } else {
+            if builtin_taint {
+                return Err(format!("{spec_flag} builtin requires a @benchmark input"));
+            }
+            let source = std::fs::read_to_string(input).map_err(|e| format!("{input}: {e}"))?;
+            let program = parse_program(&source).map_err(|e| format!("{input}: {e}"))?;
+            (program, None)
+        };
+        if check {
+            if let Err(errs) = validate(&program) {
+                let lines: String = errs.iter().map(|e| format!("\n  {e}")).collect();
+                return Err(format!("invalid program:{lines}"));
+            }
         }
-        if builtin_taint {
-            return Err(format!("{taint_flag} builtin requires a @benchmark input"));
-        }
-        let source = std::fs::read_to_string(input).map_err(|e| format!("{input}: {e}"))?;
-        let program = parse_program(&source).map_err(|e| format!("{input}: {e}"))?;
-        Ok((program, None))
+        let taint = match spec {
+            None | Some("builtin") => builtin_spec,
+            Some(path) => {
+                let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+                Some(TaintSpec::parse(&text, &program).map_err(|e| format!("{path}: {e}"))?)
+            }
+        };
+        Ok((program, taint))
+    }
+
+    /// Parses a `--timeout` value: positive seconds that fit a
+    /// [`Duration`]. `None` (a usage error) for anything else — `0`,
+    /// negatives, `nan`, `inf`, or a value too large to represent.
+    pub fn parse_timeout(secs: &str) -> Option<Duration> {
+        let secs: f64 = secs.parse().ok()?;
+        Duration::try_from_secs_f64(secs)
+            .ok()
+            .filter(|_| secs > 0.0)
     }
 }

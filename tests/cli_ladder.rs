@@ -127,3 +127,32 @@ fn thread_flag_and_rung_suffix_are_rejected() {
     assert!(text.contains("rung 1 at chars 6..15"), "{text}");
     assert!(text.contains("unknown flavor \"insens@t2\""), "{text}");
 }
+
+/// A `--timeout` that is not a positive number of seconds representable
+/// as a `Duration` is a usage error (exit 2) in both binaries, never a
+/// panic; a huge but representable one still runs.
+#[test]
+fn out_of_range_timeout_is_a_usage_error() {
+    for bin in [
+        env!("CARGO_BIN_EXE_rudoop"),
+        env!("CARGO_BIN_EXE_rudoop-lint"),
+    ] {
+        for secs in ["1e300", "1e20", "nan", "inf", "0", "-1"] {
+            let out = Command::new(bin)
+                .args(["@antlr", "--analysis", "insens", "--timeout", secs])
+                .current_dir(env!("CARGO_MANIFEST_DIR"))
+                .output()
+                .expect("failed to run binary");
+            assert_eq!(out.status.code(), Some(2), "{bin} {secs}: {out:?}");
+            let text = stderr(&out);
+            assert!(!text.contains("panicked"), "{bin} {secs}: {text}");
+            assert!(text.contains("usage:"), "{bin} {secs}: {text}");
+        }
+        let out = Command::new(bin)
+            .args(["@antlr", "--analysis", "insens", "--timeout", "1e18"])
+            .current_dir(env!("CARGO_MANIFEST_DIR"))
+            .output()
+            .expect("failed to run binary");
+        assert_eq!(out.status.code(), Some(0), "{bin} 1e18: {out:?}");
+    }
+}

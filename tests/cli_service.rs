@@ -110,7 +110,7 @@ fn ping_round_trips() {
 /// The headline byte-identity contract: the daemon's taint JSON document
 /// equals the batch CLI's stdout.
 #[test]
-fn daemon_taint_json_matches_batch_at_every_thread_count() {
+fn daemon_taint_json_matches_batch() {
     let batch = rudoop(&["taint", "@pmd", "--spec", "builtin", "--format", "json"]);
     assert_eq!(batch.status.code(), Some(0), "{batch:?}");
     let reference = stdout(&batch);
@@ -160,12 +160,77 @@ fn daemon_dump_with_ladder_override_matches_batch() {
     );
 }
 
+/// The daemon's races document equals `rudoop races` stdout, in JSON and
+/// in text. `--races` switches the benchmark's concurrency battery on in
+/// both, so they analyze the same program.
+#[test]
+fn daemon_races_matches_batch() {
+    let daemon = Daemon::start("races", &["@antlr", "--races"]);
+    for format in ["json", "text"] {
+        let batch = rudoop(&["races", "@antlr", "--analysis", "2objH", "--format", format]);
+        assert_eq!(batch.status.code(), Some(0), "{batch:?}");
+        let reference = stdout(&batch);
+        assert!(!reference.is_empty());
+        let out = rudoop(&[
+            "query",
+            "--addr",
+            &daemon.addr,
+            "--kind",
+            "races",
+            "--ladder",
+            "2objH",
+            "--format",
+            format,
+        ]);
+        assert_eq!(out.status.code(), Some(0), "{out:?}");
+        assert_eq!(
+            stdout(&out),
+            reference,
+            "daemon races {format} document diverged from batch stdout"
+        );
+    }
+}
+
+/// The daemon's lints JSON equals `rudoop-lint --format json` stdout. The
+/// daemon runs without `--races`: that flag changes the program, and
+/// `rudoop-lint` without it lints the stock benchmark.
+#[test]
+fn daemon_lints_json_matches_batch() {
+    let batch = Command::new(env!("CARGO_BIN_EXE_rudoop-lint"))
+        .args(["@antlr", "--analysis", "insens", "--format", "json"])
+        .current_dir(env!("CARGO_MANIFEST_DIR"))
+        .output()
+        .expect("failed to run rudoop-lint");
+    assert_eq!(batch.status.code(), Some(0), "{batch:?}");
+    let reference = stdout(&batch);
+    assert!(!reference.is_empty());
+
+    let daemon = Daemon::start("lints", &["@antlr"]);
+    let out = rudoop(&[
+        "query",
+        "--addr",
+        &daemon.addr,
+        "--kind",
+        "lints",
+        "--ladder",
+        "insens",
+        "--format",
+        "json",
+    ]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    assert_eq!(
+        stdout(&out),
+        reference,
+        "daemon lints document diverged from batch stdout"
+    );
+}
+
 /// Overload shedding end to end: while a stalled request holds the only
 /// worker slot, a no-retry client is shed with exit 5, and a retrying
 /// client backs off, gets in, and prints a document byte-identical to the
 /// batch CLI's.
 #[test]
-fn shed_then_retried_query_matches_batch_at_every_thread_count() {
+fn shed_then_retried_query_matches_batch() {
     let batch = rudoop(&["@antlr", "--analysis", "insens", "--dump"]);
     assert_eq!(batch.status.code(), Some(0), "{batch:?}");
     let reference = stdout(&batch);

@@ -34,7 +34,7 @@ fn json_report_matches_golden_fixture() {
 
 /// The JSON report is byte-identical across repeated runs.
 #[test]
-fn json_report_is_identical_across_engines() {
+fn json_report_is_identical_across_runs() {
     let args = ["taint", FIXTURE, "--spec", SPEC, "--format", "json"];
     let first = rudoop(&args);
     assert_eq!(first.status.code(), Some(0), "{first:?}");
